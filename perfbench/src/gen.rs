@@ -12,10 +12,9 @@
 //! * **`frontier_cap`** — untyped queries in the undecidable regime: fds
 //!   mixed with one unary ind, and successor tds with egd goals.
 
+use crate::reference;
 use std::collections::{HashMap, HashSet};
-use typedtd_dependencies::TdOrEgd;
-use typedtd_relational::ValuePool;
-use typedtd_service::{parse_query_line, parse_universe_spec, query_parts, QueryKey};
+use typedtd_service::{query_parts, QueryKey};
 
 /// Structures in the history corpus.
 pub const HISTORY_LEN: usize = 26_000;
@@ -380,17 +379,10 @@ pub fn hot_stream(seed: u64, history: &[Query]) -> Vec<Query> {
 /// submit path computes them (parse, normalize Σ then the goal, key each
 /// part against the whole normalized Σ).
 pub fn part_keys(q: &Query) -> Result<Vec<QueryKey>, String> {
-    let universe = parse_universe_spec(&q.universe())?;
-    let mut pool = ValuePool::new(universe.clone());
-    let (sigma, goal) = parse_query_line(&universe, &mut pool, &q.text())?;
-    let mut sigma_normal: Vec<TdOrEgd> = Vec::new();
-    for d in &sigma {
-        sigma_normal.extend(d.try_normalize(&universe, &mut pool)?);
-    }
-    Ok(goal
-        .try_normalize(&universe, &mut pool)?
+    let p = reference::parse(q)?;
+    Ok(p.parts
         .iter()
-        .map(|part| query_parts(&sigma_normal, part).key)
+        .map(|part| query_parts(&p.sigma, part).key)
         .collect())
 }
 

@@ -52,9 +52,14 @@ pub struct Parsed {
 
 /// Parses and normalizes `q`: universe, query line, Σ then goal.
 pub fn parse(q: &Query) -> Result<Parsed, String> {
-    let universe = parse_universe_spec(&q.universe())?;
+    parse_text(&q.universe(), &q.text())
+}
+
+/// [`parse`] for a query given as its `SUBMIT` universe spec and text.
+pub fn parse_text(universe: &str, text: &str) -> Result<Parsed, String> {
+    let universe = parse_universe_spec(universe)?;
     let mut pool = ValuePool::new(universe.clone());
-    let (sigma_deps, goal_dep) = parse_query_line(&universe, &mut pool, &q.text())?;
+    let (sigma_deps, goal_dep) = parse_query_line(&universe, &mut pool, text)?;
     let mut sigma = Vec::new();
     for d in &sigma_deps {
         sigma.extend(d.try_normalize(&universe, &mut pool)?);

@@ -375,21 +375,14 @@ fn persist_metrics(ctx: &Ctx, history: &History) -> Result<(Vec<Metric>, u64), S
 /// Steps the binary-ind reproducer one fuel unit at a time: the worst
 /// unit and the total, in ms.
 fn binary_ind_probe() -> Result<(f64, f64), String> {
-    let universe = parse_universe_spec(BINARY_IND.0)?;
-    let mut pool = ValuePool::new(universe.clone());
-    let (sigma_deps, goal) = parse_query_line(&universe, &mut pool, BINARY_IND.1)?;
-    let mut sigma = Vec::new();
-    for d in &sigma_deps {
-        sigma.extend(d.try_normalize(&universe, &mut pool)?);
-    }
-    let parts = goal.try_normalize(&universe, &mut pool)?;
+    let p = reference::parse_text(BINARY_IND.0, BINARY_IND.1)?;
     let cfg = base_config(Workload::FrontierCap);
     let (mut worst, start) = (0f64, Instant::now());
-    for part in parts {
-        let Some(sigma) = dedup_sigma(&sigma, &query_parts(&sigma, &part)) else {
+    for part in &p.parts {
+        let Some(sigma) = dedup_sigma(&p.sigma, &query_parts(&p.sigma, part)) else {
             continue;
         };
-        let mut task = DecideTask::new(sigma, part, pool.clone(), cfg.clone());
+        let mut task = DecideTask::new(sigma, part.clone(), p.pool.clone(), cfg.clone());
         while task.fuel_spent() < BINARY_IND_CAP {
             let t = Instant::now();
             let done = matches!(task.step(1), DecideStatus::Done(_));
