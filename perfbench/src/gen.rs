@@ -23,9 +23,9 @@ pub const HOT_LEN: usize = 2_000;
 /// Rounds of fresh re-presentations of those structures in one pass.
 pub const HOT_ROUNDS: usize = 5;
 /// Queries in one `cold_chase` pass.
-pub const COLD_LEN: usize = 4_000;
+pub const COLD_LEN: usize = 8_000;
 /// Queries in one `frontier_cap` pass.
-pub const FRONTIER_LEN: usize = 2_000;
+pub const FRONTIER_LEN: usize = 4_000;
 
 const NAMES: [&str; 8] = ["A", "B", "C", "D", "E", "F", "G", "H"];
 

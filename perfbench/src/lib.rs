@@ -25,6 +25,11 @@ use gen::Query;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Workload {
     /// Resubmissions of recent history structures: the cache path.
+    ///
+    /// Runnable by hand but not among the timed workloads of
+    /// `BENCHMARK.json`: its one busy connection thread tracks the shared
+    /// host's single-thread speed, which drifted by a fifth over minutes
+    /// with no CPU time stolen, so ten runs spread 15-27% of the median.
     HotRepeats,
     /// Distinct weakly acyclic queries: the chase and the cache/log write
     /// side.

@@ -43,15 +43,6 @@ pub fn percentile_sorted(s: &[u64], p: f64) -> u64 {
     s[rank - 1]
 }
 
-/// Which way a metric improves.
-#[derive(Clone, Copy)]
-pub enum Better {
-    /// Smaller is better (times).
-    Lower,
-    /// Larger is better (rates).
-    Higher,
-}
-
 /// One metric with its unit and per-pass raw values.
 pub struct Metric {
     /// Metric name as `BENCHMARK.json` lists it.
@@ -60,8 +51,9 @@ pub struct Metric {
     pub unit: &'static str,
     /// One value per pass (or a single value).
     pub values: Vec<f64>,
-    /// `None`: report the median. `Some`: report the best-quartile pass.
-    best: Option<Better>,
+    /// Indices of the values the reported median is taken over; empty
+    /// means all of them.
+    kept: Vec<usize>,
 }
 
 impl Metric {
@@ -71,21 +63,16 @@ impl Metric {
             name,
             unit,
             values,
-            best: None,
+            kept: Vec::new(),
         }
     }
 
-    /// A metric reported as its best-quartile pass: the first quartile of
-    /// the per-pass values when lower is better, the third when higher is.
-    ///
-    /// On a shared host, other tenants stall the CPU for seconds at a time,
-    /// slowing whole passes several-fold; a median moves as soon as half a
-    /// run's passes fall in such a stretch. The best quartile moves only
-    /// when three quarters do, while anything the program does within every
-    /// pass (a slow path, a pause) still shows in full.
-    pub fn best(name: &'static str, unit: &'static str, better: Better, values: Vec<f64>) -> Self {
+    /// A metric reported as the median of the samples at `kept` (the
+    /// passes the host left undisturbed), with every sample kept for the
+    /// report.
+    pub fn over(name: &'static str, unit: &'static str, values: Vec<f64>, kept: &[usize]) -> Self {
         Self {
-            best: Some(better),
+            kept: kept.to_vec(),
             ..Self::new(name, unit, values)
         }
     }
@@ -95,14 +82,18 @@ impl Metric {
         Self::new(name, unit, vec![value])
     }
 
+    /// The samples the reported value is the median of.
+    fn reported(&self) -> Vec<f64> {
+        if self.kept.is_empty() {
+            self.values.clone()
+        } else {
+            self.kept.iter().map(|&i| self.values[i]).collect()
+        }
+    }
+
     /// The reported value.
     pub fn value(&self) -> f64 {
-        let (q1, q3) = quartiles(&self.values);
-        match self.best {
-            None => median(&self.values),
-            Some(Better::Lower) => q1,
-            Some(Better::Higher) => q3,
-        }
+        median(&self.reported())
     }
 }
 
@@ -152,22 +143,23 @@ pub fn result_line(correct: bool, attempted: u64, failed: u64, metrics: &[Metric
     )
 }
 
-/// Per-metric summary lines: the reported value, median, quartiles and
-/// every raw value.
+/// Per-metric summary lines: the reported value with the quartiles of
+/// the samples it is the median of, and every raw value.
 pub fn summary_lines(metrics: &[Metric]) -> Vec<String> {
     metrics
         .iter()
         .map(|m| {
-            let (q1, q3) = quartiles(&m.values);
+            let reported = m.reported();
+            let (q1, q3) = quartiles(&reported);
             let raw: Vec<String> = m.values.iter().map(|v| num(*v)).collect();
             format!(
-                "{} {} value={} median={} q1={} q3={} n={} raw=[{}]",
+                "{} {} median={} q1={} q3={} kept={}/{} raw=[{}]",
                 m.name,
                 m.unit,
                 num(m.value()),
-                num(median(&m.values)),
                 num(q1),
                 num(q3),
+                reported.len(),
                 m.values.len(),
                 raw.join(",")
             )

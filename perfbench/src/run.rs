@@ -3,7 +3,7 @@
 use crate::daemon::{cpu_ns, fresh_copy, Daemon, DaemonSpec, Drive, WireQuery};
 use crate::gen::Query;
 use crate::reference::{self, Expected};
-use crate::report::{file_digest, percentile_sorted, Better, Metric};
+use crate::report::{file_digest, percentile_sorted, Metric};
 use crate::{Fnv, Workload};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -13,6 +13,9 @@ use typedtd_service::{replay_log, ImplicationClient, PersistConfig, ServiceConfi
 
 /// Timed passes per run, at least, however long they take.
 pub const MIN_PASSES: usize = 3;
+/// A pass counts as undisturbed by the host when the hypervisor stole at
+/// most this share of the host's CPU time while it ran.
+pub const MAX_STEAL_FRAC: f64 = 0.02;
 /// Queries in the untimed warm-up pass that precedes the timed ones.
 pub const WARMUP_QUERIES: usize = 200;
 /// `SUBMIT`s in flight while the history corpus is driven.
@@ -271,6 +274,44 @@ pub fn check(workload: Workload, stream: &[Query], run: &Drive, refs: &[Expected
     c
 }
 
+/// The host's CPU time from the aggregate line of `/proc/stat`, in clock
+/// ticks summed over every CPU.
+#[derive(Clone, Copy, Default, Debug)]
+pub struct HostTicks {
+    /// Time the hypervisor ran something else while a CPU wanted to run.
+    pub steal: u64,
+    /// All time: user, nice, system, idle, iowait, irq, softirq, steal.
+    pub total: u64,
+}
+
+impl HostTicks {
+    /// The counters now; zero where `/proc/stat` cannot be read.
+    pub fn now() -> Self {
+        let text = std::fs::read_to_string("/proc/stat").unwrap_or_default();
+        let v: Vec<u64> = text
+            .lines()
+            .next()
+            .and_then(|l| l.strip_prefix("cpu "))
+            .unwrap_or("")
+            .split_whitespace()
+            .take(8)
+            .filter_map(|t| t.parse().ok())
+            .collect();
+        Self {
+            steal: v.get(7).copied().unwrap_or(0),
+            total: v.iter().sum(),
+        }
+    }
+
+    /// The ticks from `earlier` until `self`.
+    pub fn since(self, earlier: Self) -> Self {
+        Self {
+            steal: self.steal.saturating_sub(earlier.steal),
+            total: self.total.saturating_sub(earlier.total),
+        }
+    }
+}
+
 /// One daemon start plus one drive of the stream.
 pub struct Pass {
     /// Spawn to connected.
@@ -283,9 +324,20 @@ pub struct Pass {
     pub stats: HashMap<String, u64>,
     /// The exit ledger.
     pub ledger: HashMap<String, u64>,
+    /// Host CPU time from before the spawn until after the exit.
+    pub host: HostTicks,
 }
 
 impl Pass {
+    /// Share of the host's CPU time the hypervisor stole during the pass.
+    pub fn steal_frac(&self) -> f64 {
+        if self.host.total == 0 {
+            0.0
+        } else {
+            self.host.steal as f64 / self.host.total as f64
+        }
+    }
+
     /// Answered queries per second.
     pub fn qps(&self) -> f64 {
         self.run.answers.len() as f64 / self.run.wall.as_secs_f64()
@@ -329,6 +381,7 @@ pub fn one_pass(
     let log = ctx.scratch("run-log");
     let socket = ctx.scratch("sock");
     fresh_copy(&history.path, &log)?;
+    let host0 = HostTicks::now();
     let mut d = Daemon::start(&DaemonSpec {
         sockd: &ctx.sockd,
         socket: &socket,
@@ -341,6 +394,7 @@ pub fn one_pass(
     let stats = d.client.stats().map_err(|e| format!("STATS: {e}"))?;
     let setup = d.setup;
     let ledger = d.stop(EXIT_GRACE)?;
+    let host = HostTicks::now().since(host0);
     let _ = std::fs::remove_file(&log);
     Ok(Pass {
         setup,
@@ -348,7 +402,35 @@ pub fn one_pass(
         daemon_cpu_ns,
         stats,
         ledger,
+        host,
     })
+}
+
+/// The passes the timed metrics are the medians of, given each pass's
+/// [`Pass::steal_frac`]: those during which the hypervisor stole at most
+/// [`MAX_STEAL_FRAC`] of the host's CPU time, or, when fewer than a
+/// quarter of the passes (and at least [`MIN_PASSES`]) are that clean,
+/// that many of the least stolen ones. Indices come back in pass order.
+///
+/// Other tenants of a shared host take its CPUs away for seconds at a
+/// time: on a 2-vCPU virtual machine, `hot_repeats` passes that lost
+/// 15–25% of the CPU time to steal ran about 30% slower than passes that
+/// lost none, and how many passes of a run that hits moves with the host,
+/// not the program. What the program does itself shows in every pass,
+/// undisturbed or not.
+pub fn undisturbed(steal: &[f64]) -> Vec<usize> {
+    let want = (steal.len() / 4).max(MIN_PASSES).min(steal.len());
+    let clean: Vec<usize> = (0..steal.len())
+        .filter(|&i| steal[i] <= MAX_STEAL_FRAC)
+        .collect();
+    if clean.len() >= want {
+        return clean;
+    }
+    let mut least: Vec<usize> = (0..steal.len()).collect();
+    least.sort_by(|&a, &b| steal[a].total_cmp(&steal[b]).then(a.cmp(&b)));
+    least.truncate(want);
+    least.sort_unstable();
+    least
 }
 
 /// Everything a run reports.
@@ -366,7 +448,8 @@ pub struct Outcome {
 }
 
 /// Runs timed passes until `seconds` have gone by (at least
-/// [`MIN_PASSES`]), after one untimed warm-up pass.
+/// [`MIN_PASSES`]), after one untimed warm-up pass, and reports each
+/// timed metric as its median over the [`undisturbed`] passes.
 ///
 /// # Errors
 /// Daemon or connection failures.
@@ -415,8 +498,13 @@ pub fn timed(
         out.notes.extend(c.examples.iter().cloned());
         let exact = (c.digest, c.definite, c.fuel, p.hits());
         out.notes.push(format!(
-            "pass {k}: digest={:016x} definite={} fuel={} hits={} failed={}",
-            exact.0, exact.1, exact.2, exact.3, c.failed
+            "pass {k}: digest={:016x} definite={} fuel={} hits={} failed={} steal={:.2}%",
+            exact.0,
+            exact.1,
+            exact.2,
+            exact.3,
+            c.failed,
+            100.0 * p.steal_frac()
         ));
         match first {
             None => first = Some(exact),
@@ -429,12 +517,21 @@ pub fn timed(
             Some(_) => {}
         }
     }
+    let steal: Vec<f64> = passes.iter().map(Pass::steal_frac).collect();
+    let kept = undisturbed(&steal);
+    let clean = steal.iter().filter(|&&f| f <= MAX_STEAL_FRAC).count();
+    out.notes.push(format!(
+        "timed metrics: medians over passes {kept:?} ({} of {}; {clean} had at most {}% of host CPU time stolen)",
+        kept.len(),
+        passes.len(),
+        100.0 * MAX_STEAL_FRAC
+    ));
     out.metrics = vec![
-        Metric::best("throughput_qps", "1/s", Better::Higher, qps),
-        Metric::best("latency_p50_ms", "ms", Better::Lower, p50),
-        Metric::best("latency_p99_ms", "ms", Better::Lower, p99),
-        Metric::best("definite_frac", "frac", Better::Higher, definite),
-        Metric::best("setup_s", "s", Better::Lower, setup),
+        Metric::over("throughput_qps", "1/s", qps, &kept),
+        Metric::over("latency_p50_ms", "ms", p50, &kept),
+        Metric::over("latency_p99_ms", "ms", p99, &kept),
+        Metric::over("definite_frac", "frac", definite, &kept),
+        Metric::over("setup_s", "s", setup, &kept),
     ];
     out.correct &= out.failed == 0;
     Ok(out)
