@@ -1,5 +1,5 @@
 //! Chase engine scaling and the variant ablation
-//! (standard vs oblivious vs core vs parallel trigger scan), plus the
+//! (standard vs oblivious vs core), plus the
 //! semi-naive vs naive saturation comparison that motivates the
 //! delta-driven engine.
 
@@ -34,12 +34,11 @@ fn bench_chain_length(c: &mut Criterion) {
 fn bench_variants(c: &mut Criterion) {
     let mut group = c.benchmark_group("chase/variant");
     let variants = [
-        ("standard", ChaseVariant::Standard, false),
-        ("core", ChaseVariant::Core, false),
-        ("oblivious", ChaseVariant::Oblivious, false),
-        ("parallel", ChaseVariant::Standard, true),
+        ("standard", ChaseVariant::Standard),
+        ("core", ChaseVariant::Core),
+        ("oblivious", ChaseVariant::Oblivious),
     ];
-    for (name, variant, parallel) in variants {
+    for (name, variant) in variants {
         group.bench_function(name, |b| {
             b.iter_batched(
                 || {
@@ -49,9 +48,7 @@ fn bench_variants(c: &mut Criterion) {
                     (sigma, goal, pool)
                 },
                 |(sigma, goal, mut pool)| {
-                    let cfg = ChaseConfig::default()
-                        .with_variant(variant)
-                        .with_parallel(parallel);
+                    let cfg = ChaseConfig::default().with_variant(variant);
                     chase_implication(&sigma, &goal, &mut pool, &cfg)
                 },
                 criterion::BatchSize::SmallInput,

@@ -1,35 +1,32 @@
-//! Chase throughput measurement: semi-naive vs naive, sequential vs
-//! parallel, across saturation and implication workloads — plus two
-//! service scenarios. In `service_batch` the three columns become
-//! *sequential `decide`* vs *client (cached)* vs *client (cached +
-//! workers)* over a cache-friendly query batch, with `rows` = jobs and
-//! `rounds` = answers served without fresh work (cache hits + coalesced +
-//! goal-in-Σ). In `service_multi_submit` the columns are *sequential
-//! `decide` of the answerable queries alone* vs *single-owner-style
-//! global sweeps* vs *sharded multi-threaded submitters*, with a standing
-//! load of divergent background jobs: the single-owner mode (the only
-//! shape the v1 `&mut self` API allowed) pays every background job a fuel
-//! slice on every sweep, while sharded `wait` only steps the shard owning
-//! its job — `rows` = answerable jobs, `rounds` = background jobs. In
-//! `service_divergent_mix` the columns are *sequential decide mode* vs
+//! Chase throughput measurement: semi-naive vs naive across saturation
+//! and implication workloads, plus the service scenarios. Every row names
+//! the variants it timed and the counters it reports. In `service_batch`
+//! the variants are *sequential `decide`* vs *client (cached)* vs
+//! *client (cached + workers)* over a cache-friendly query batch. In
+//! `service_multi_submit` they are *sequential `decide` of the answerable
+//! queries alone* vs *single-owner-style global sweeps* vs *sharded
+//! multi-threaded submitters*, with a standing load of divergent
+//! background jobs: the single-owner mode (the only shape the v1
+//! `&mut self` API allowed) pays every background job a fuel slice on
+//! every sweep, while sharded `wait` only steps the shard owning its job.
+//! In `service_divergent_mix` they are *sequential decide mode* vs
 //! *dovetail 1:1* vs *dovetail 3:1* over refutable-but-divergent queries
 //! behind a decidable batch, all fuel-capped: sequential expires to
-//! Unknown, dovetail refutes within the cap (`rounds` = refuted queries).
-//! In `service_skewed_shards` every job is pinned to shard 0 and the
-//! columns are *stealing off* vs *stealing on* vs *balanced routing*
-//! (`rounds` = steals observed). In `service_socket_stream` a
+//! Unknown, dovetail refutes within the cap. In `service_skewed_shards`
+//! every job is pinned to shard 0 and the variants are *stealing off* vs
+//! *stealing on* vs *balanced routing*. In `service_socket_stream` a
 //! cache-friendly text batch is decided three ways — *direct in-process
 //! client submits* vs *one pipelined `typedtd-proto` socket client* vs
 //! *N concurrent socket clients* over a live Unix-socket `ProtoServer` —
-//! measuring the wire round-trip overhead (`rows` = queries, `rounds` =
-//! wire answers served without fresh fuel); answer parity with
-//! sequential `decide` is asserted for every column, and in full mode
-//! the single-client wire overhead is asserted ≤ 2× direct submits.
+//! measuring the wire round-trip overhead; answer parity with sequential
+//! `decide` is asserted for every variant, and in full mode the
+//! single-client wire overhead is asserted ≤ 2× direct submits.
 //!
 //! Prints a table by default; with `--json` additionally writes
-//! `BENCH_chase.json` (an array of per-workload records with median
-//! nanoseconds and the speedup of column two over column one) for the perf
-//! trajectory.
+//! `BENCH_chase.json`: the host's CPU count, the git revision and the
+//! command line, then one record per workload with each variant's
+//! median, min and max nanoseconds over its samples and the workload's
+//! named counters.
 //!
 //! Workload construction runs *outside* the timed region — only the chase
 //! itself is measured. Each mode's runs are also parity-checked against
@@ -44,7 +41,7 @@
 //! Usage: `cargo run --release -p typedtd-bench --bin chase_bench [--json] [--smoke]`
 
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use typedtd_bench::{
     divergent_saturation_workload, divergent_service_query, egd_cascade_workload,
     egd_saturation_workload, mvd_chain_instance, saturation_workload, service_batch_workload,
@@ -60,22 +57,45 @@ use typedtd_service::{
     QuerySpec, ServiceConfig,
 };
 
-struct Record {
-    workload: String,
-    naive_ns: u128,
-    semi_ns: u128,
-    parallel_ns: u128,
-    rows: usize,
-    rounds: usize,
+/// One timed variant of a workload: what ran, and the median, min and
+/// max wall-clock time over its samples.
+struct Variant {
+    name: &'static str,
+    samples: usize,
+    median_ns: u128,
+    min_ns: u128,
+    max_ns: u128,
 }
 
-/// Median over `samples` runs of `routine`, with `setup` excluded from the
-/// timed region (iter_batched-style).
+impl Variant {
+    fn new(name: &'static str, mut times: Vec<Duration>) -> Self {
+        times.sort_unstable();
+        Self {
+            name,
+            samples: times.len(),
+            median_ns: times[times.len() / 2].as_nanos(),
+            min_ns: times[0].as_nanos(),
+            max_ns: times[times.len() - 1].as_nanos(),
+        }
+    }
+}
+
+/// One workload's row: the variants it timed and its named counters.
+struct Record {
+    workload: String,
+    variants: Vec<Variant>,
+    counters: Vec<(&'static str, usize)>,
+}
+
+/// Times `samples` runs of `routine` as variant `name`, with `setup`
+/// excluded from the timed region (iter_batched-style). Returns the
+/// variant and the last run's result.
 fn time<I, R>(
+    name: &'static str,
     samples: usize,
     mut setup: impl FnMut() -> I,
     mut routine: impl FnMut(I) -> R,
-) -> (u128, R) {
+) -> (Variant, R) {
     let mut times = Vec::with_capacity(samples);
     let mut last = None;
     for _ in 0..samples {
@@ -84,17 +104,13 @@ fn time<I, R>(
         last = Some(routine(input));
         times.push(t0.elapsed());
     }
-    times.sort_unstable();
-    (
-        times[times.len() / 2].as_nanos(),
-        last.expect("samples >= 1"),
-    )
+    (Variant::new(name, times), last.expect("samples >= 1"))
 }
 
 type Workload = (Relation, Vec<TdOrEgd>, ValuePool);
 
-/// Measures one saturation workload under naive / semi-naive / parallel
-/// configs, asserting outcome + rounds + row-count parity across them.
+/// Measures one saturation workload under the naive and semi-naive
+/// configs, asserting outcome + rounds + row-count parity between them.
 ///
 /// The applied-trigger prefix in a budget-truncating round may differ
 /// between modes, so parity here is deliberately not up-to-isomorphism
@@ -104,53 +120,42 @@ fn measure_saturation(
     samples: usize,
     mut make: impl FnMut() -> Workload,
 ) -> Record {
-    let run = |cfg: ChaseConfig, (init, sigma, mut pool): Workload| -> ChaseRun {
-        saturate(&init, &sigma, &mut pool, &cfg)
-    };
-    let cfgs = [
-        ChaseConfig::default().with_semi_naive(false),
-        ChaseConfig::default(),
-        ChaseConfig::default().with_parallel(true),
+    let modes = [
+        ("naive", ChaseConfig::default().with_semi_naive(false)),
+        ("semi", ChaseConfig::default()),
     ];
-    // Samples interleave the three modes instead of timing each mode's
-    // block back to back, and the in-iteration order rotates: slow drift
+    // Samples interleave the modes instead of timing each mode's block
+    // back to back, and the in-iteration order rotates: slow drift
     // (thermal, frequency, scheduler) then lands on every mode equally,
     // and no mode is systematically measured right after the expensive
     // naive run heats the core.
-    let mut times: [Vec<std::time::Duration>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    let mut runs: [Option<ChaseRun>; 3] = [None, None, None];
+    let mut times: [Vec<Duration>; 2] = [Vec::new(), Vec::new()];
+    let mut runs: [Option<ChaseRun>; 2] = [None, None];
     for s in 0..samples {
-        for k in 0..cfgs.len() {
-            let m = (s + k) % cfgs.len();
-            let input = make();
+        for k in 0..modes.len() {
+            let m = (s + k) % modes.len();
+            let (init, sigma, mut pool) = make();
             let t0 = Instant::now();
-            runs[m] = Some(run(cfgs[m].clone(), input));
+            runs[m] = Some(saturate(&init, &sigma, &mut pool, &modes[m].1));
             times[m].push(t0.elapsed());
         }
     }
-    let median = |v: &mut Vec<std::time::Duration>| {
-        v.sort_unstable();
-        v[v.len() / 2].as_nanos()
-    };
-    let [mut tn, mut ts, mut tp] = times;
-    let (naive_ns, semi_ns, parallel_ns) = (median(&mut tn), median(&mut ts), median(&mut tp));
-    let [run_n, run_s, run_p] = runs.map(|r| r.expect("samples >= 1"));
-    for (mode, r) in [("semi", &run_s), ("parallel", &run_p)] {
-        assert_eq!(run_n.outcome, r.outcome, "{mode} parity violated");
-        assert_eq!(run_n.rounds, r.rounds, "{mode} parity violated");
-        assert_eq!(
-            run_n.final_relation.len(),
-            r.final_relation.len(),
-            "{mode} parity violated"
-        );
-    }
+    let [run_n, run_s] = runs.map(|r| r.expect("samples >= 1"));
+    assert_eq!(run_n.outcome, run_s.outcome, "semi parity violated");
+    assert_eq!(run_n.rounds, run_s.rounds, "semi parity violated");
+    assert_eq!(
+        run_n.final_relation.len(),
+        run_s.final_relation.len(),
+        "semi parity violated"
+    );
+    let [tn, ts] = times;
     Record {
         workload,
-        naive_ns,
-        semi_ns,
-        parallel_ns,
-        rows: run_s.final_relation.len(),
-        rounds: run_s.rounds,
+        variants: vec![Variant::new(modes[0].0, tn), Variant::new(modes[1].0, ts)],
+        counters: vec![
+            ("rows", run_s.final_relation.len()),
+            ("rounds", run_s.rounds),
+        ],
     }
 }
 
@@ -165,24 +170,19 @@ fn measure_implication(len: usize, samples: usize) -> Record {
     let run = |cfg: ChaseConfig, (sigma, goal, mut pool): (Vec<TdOrEgd>, TdOrEgd, ValuePool)| {
         chase_implication(&sigma, &goal, &mut pool, &cfg)
     };
-    let (naive_ns, run_n) = time(samples, make, |w| {
+    let (naive, run_n) = time("naive", samples, make, |w| {
         run(ChaseConfig::default().with_semi_naive(false), w)
     });
-    let (semi_ns, run_s) = time(samples, make, |w| run(ChaseConfig::default(), w));
-    let (parallel_ns, run_p) = time(samples, make, |w| {
-        run(ChaseConfig::default().with_parallel(true), w)
-    });
-    for (mode, r) in [("semi", &run_s), ("parallel", &run_p)] {
-        assert_eq!(run_n.outcome, r.outcome, "{mode} parity violated");
-        assert_eq!(run_n.rounds, r.rounds, "{mode} parity violated");
-    }
+    let (semi, run_s) = time("semi", samples, make, |w| run(ChaseConfig::default(), w));
+    assert_eq!(run_n.outcome, run_s.outcome, "semi parity violated");
+    assert_eq!(run_n.rounds, run_s.rounds, "semi parity violated");
     Record {
         workload: format!("implication/mvd_chain{len}"),
-        naive_ns,
-        semi_ns,
-        parallel_ns,
-        rows: run_s.final_relation.len(),
-        rounds: run_s.rounds,
+        variants: vec![naive, semi],
+        counters: vec![
+            ("rows", run_s.final_relation.len()),
+            ("rounds", run_s.rounds),
+        ],
     }
 }
 
@@ -313,9 +313,10 @@ fn measure_service_batch(distinct: usize, renamings: usize, samples: usize) -> R
             })
             .collect()
     };
-    let (naive_ns, seq_answers) = time(samples, make, decide_all);
-    let (semi_ns, (svc_answers, served_free)) = time(samples, make, |q| run_service(q, 1));
-    let (parallel_ns, (par_answers, _)) = time(samples, make, |q| run_service(q, 4));
+    let (seq, seq_answers) = time("sequential_decide", samples, make, decide_all);
+    let (svc, (svc_answers, served_free)) =
+        time("client_1_worker", samples, make, |q| run_service(q, 1));
+    let (par, (par_answers, _)) = time("client_4_workers", samples, make, |q| run_service(q, 4));
     assert_eq!(seq_answers, svc_answers, "service parity violated");
     assert_eq!(seq_answers, par_answers, "worker-service parity violated");
     assert!(
@@ -324,11 +325,11 @@ fn measure_service_batch(distinct: usize, renamings: usize, samples: usize) -> R
     );
     Record {
         workload: format!("service_batch/d{distinct}xr{renamings}"),
-        naive_ns,
-        semi_ns,
-        parallel_ns,
-        rows: seq_answers.len(),
-        rounds: served_free as usize,
+        variants: vec![seq, svc, par],
+        counters: vec![
+            ("jobs", seq_answers.len()),
+            ("served_free", served_free as usize),
+        ],
     }
 }
 
@@ -357,10 +358,15 @@ fn measure_multi_submit(
             })
             .collect()
     };
-    let (naive_ns, seq_answers) = time(samples, &make, |(fg, _)| decide_all(fg));
-    let (semi_ns, single_answers) = time(samples, &make, |(fg, bg)| run_single_owner(fg, bg));
-    let (parallel_ns, multi_answers) =
-        time(samples, &make, |(fg, bg)| run_multi_submit(fg, bg, threads));
+    let (seq, seq_answers) = time("sequential_decide", samples, &make, |(fg, _)| {
+        decide_all(fg)
+    });
+    let (single, single_answers) = time("single_owner", samples, &make, |(fg, bg)| {
+        run_single_owner(fg, bg)
+    });
+    let (multi, multi_answers) = time("multi_submit", samples, &make, |(fg, bg)| {
+        run_multi_submit(fg, bg, threads)
+    });
     assert_eq!(seq_answers, single_answers, "single-owner parity violated");
     assert_eq!(seq_answers, multi_answers, "multi-submitter parity violated");
     assert!(
@@ -369,11 +375,11 @@ fn measure_multi_submit(
     );
     Record {
         workload: format!("service_multi_submit/d{distinct}xr{renamings}+bg{background}x{threads}t"),
-        naive_ns,
-        semi_ns,
-        parallel_ns,
-        rows: seq_answers.len(),
-        rounds: background,
+        variants: vec![seq, single, multi],
+        counters: vec![
+            ("answerable_jobs", seq_answers.len()),
+            ("background_jobs", background),
+        ],
     }
 }
 
@@ -442,13 +448,13 @@ fn measure_divergent_mix(
         let dv: Vec<Query> = (0..divergent).map(divergent_service_query).collect();
         (fg, dv)
     };
-    let (naive_ns, (seq_fg, seq_div)) = time(samples, &make, |(fg, dv)| {
+    let (seq, (seq_fg, seq_div)) = time("sequential", samples, &make, |(fg, dv)| {
         run_divergent_mix(fg, dv, DecideMode::Sequential)
     });
-    let (semi_ns, (dov_fg, dov_div)) = time(samples, &make, |(fg, dv)| {
+    let (dov, (dov_fg, dov_div)) = time("dovetail_1to1", samples, &make, |(fg, dv)| {
         run_divergent_mix(fg, dv, DecideMode::dovetail(1))
     });
-    let (parallel_ns, (dov3_fg, dov3_div)) = time(samples, &make, |(fg, dv)| {
+    let (dov3, (dov3_fg, dov3_div)) = time("dovetail_3to1", samples, &make, |(fg, dv)| {
         run_divergent_mix(fg, dv, DecideMode::dovetail(3))
     });
     assert_eq!(seq_fg, dov_fg, "dovetail parity violated on decidable batch");
@@ -469,11 +475,11 @@ fn measure_divergent_mix(
     }
     Record {
         workload: format!("service_divergent_mix/d{distinct}xr{renamings}+dv{divergent}"),
-        naive_ns,
-        semi_ns,
-        parallel_ns,
-        rows: seq_fg.len() + seq_div.len(),
-        rounds: dov_div.len(),
+        variants: vec![seq, dov, dov3],
+        counters: vec![
+            ("jobs", seq_fg.len() + seq_div.len()),
+            ("refuted", dov_div.len()),
+        ],
     }
 }
 
@@ -604,13 +610,10 @@ fn measure_service_mixed_class(samples: usize) -> Record {
         }
         counts
     };
-    let (naive_ns, (seq_dec, seq_div, _)) =
-        time(samples, || (), |()| run_mixed_class(DecideMode::Sequential));
-    let (semi_ns, (dov_dec, dov_div, dov_stats)) =
-        time(samples, || (), |()| run_mixed_class(DecideMode::dovetail(1)));
-    let (parallel_ns, (ad_dec, ad_div, _)) = time(samples, || (), |()| {
-        run_mixed_class(DecideMode::adaptive_dovetail(1))
-    });
+    let mixed = |name, mode| time(name, samples, || (), |()| run_mixed_class(mode));
+    let (seq, (seq_dec, seq_div, _)) = mixed("sequential", DecideMode::Sequential);
+    let (dov, (dov_dec, dov_div, dov_stats)) = mixed("dovetail_1to1", DecideMode::dovetail(1));
+    let (ad, (ad_dec, ad_div, _)) = mixed("adaptive_dovetail", DecideMode::adaptive_dovetail(1));
     assert_eq!(seq_dec, dov_dec, "mixed-class dovetail parity violated");
     assert_eq!(seq_dec, ad_dec, "mixed-class adaptive parity violated");
     assert!(
@@ -664,11 +667,11 @@ fn measure_service_mixed_class(samples: usize) -> Record {
     );
     Record {
         workload: format!("service_mixed_class/lines{}", MIXED_CLASS_CORPUS.len()),
-        naive_ns,
-        semi_ns,
-        parallel_ns,
-        rows: expected.iter().sum::<u64>() as usize * 2,
-        rounds: classes_seen,
+        variants: vec![seq, dov, ad],
+        counters: vec![
+            ("submissions", expected.iter().sum::<u64>() as usize * 2),
+            ("classes", classes_seen),
+        ],
     }
 }
 
@@ -730,12 +733,16 @@ fn measure_telemetry_overhead(
         let dv: Vec<Query> = (0..divergent).map(divergent_service_query).collect();
         (fg, dv)
     };
-    let (on_ns, (on_fg, on_div)) =
-        time(samples, &make, |(fg, dv)| run_telemetry_mix(fg, dv, true));
-    let (off_ns, (off_fg, off_div)) =
-        time(samples, &make, |(fg, dv)| run_telemetry_mix(fg, dv, false));
-    let (on2_ns, (on2_fg, on2_div)) =
-        time(samples, &make, |(fg, dv)| run_telemetry_mix(fg, dv, true));
+    let (on, (on_fg, on_div)) = time("metrics_on", samples, &make, |(fg, dv)| {
+        run_telemetry_mix(fg, dv, true)
+    });
+    let (off, (off_fg, off_div)) = time("metrics_off", samples, &make, |(fg, dv)| {
+        run_telemetry_mix(fg, dv, false)
+    });
+    let (on2, (on2_fg, on2_div)) = time("metrics_on_again", samples, &make, |(fg, dv)| {
+        run_telemetry_mix(fg, dv, true)
+    });
+    let (on_ns, off_ns, on2_ns) = (on.median_ns, off.median_ns, on2.median_ns);
     assert_eq!(on_fg, off_fg, "telemetry must not change foreground answers");
     assert_eq!(on_div, off_div, "telemetry must not change divergent answers");
     assert_eq!(on_fg, on2_fg, "metrics-on reruns must agree");
@@ -749,11 +756,11 @@ fn measure_telemetry_overhead(
     }
     Record {
         workload: format!("service_telemetry_overhead/d{distinct}xr{renamings}+dv{divergent}"),
-        naive_ns: on_ns,
-        semi_ns: off_ns,
-        parallel_ns: on2_ns,
-        rows: on_fg.len() + on_div.len(),
-        rounds: divergent,
+        variants: vec![on, off, on2],
+        counters: vec![
+            ("jobs", on_fg.len() + on_div.len()),
+            ("divergent_jobs", divergent),
+        ],
     }
 }
 
@@ -823,12 +830,16 @@ fn measure_skewed_steal(jobs: usize, ballast: usize, samples: usize, assert_rati
             decide(&sigma, &goal, &mut pool, &DecideConfig::default()).implication
         })
         .collect();
-    let (naive_ns, (off_answers, off_steals)) =
-        time(samples, &make, |(q, b)| run_skewed(q, b, true, false));
-    let (semi_ns, (on_answers, on_steals)) =
-        time(samples, &make, |(q, b)| run_skewed(q, b, true, true));
-    let (parallel_ns, (bal_answers, _)) =
-        time(samples, &make, |(q, b)| run_skewed(q, b, false, true));
+    let (off, (off_answers, off_steals)) = time("skewed_steal_off", samples, &make, |(q, b)| {
+        run_skewed(q, b, true, false)
+    });
+    let (on, (on_answers, on_steals)) = time("skewed_steal_on", samples, &make, |(q, b)| {
+        run_skewed(q, b, true, true)
+    });
+    let (bal, (bal_answers, _)) = time("balanced", samples, &make, |(q, b)| {
+        run_skewed(q, b, false, true)
+    });
+    let (skewed_ns, balanced_ns) = (on.median_ns, bal.median_ns);
     assert_eq!(reference, off_answers, "steal-off parity violated");
     assert_eq!(reference, on_answers, "steal-on parity violated");
     assert_eq!(reference, bal_answers, "balanced parity violated");
@@ -836,18 +847,15 @@ fn measure_skewed_steal(jobs: usize, ballast: usize, samples: usize, assert_rati
     assert!(on_steals > 0, "skewed assignment must trigger stealing");
     if assert_ratio {
         assert!(
-            semi_ns as f64 <= 1.5 * parallel_ns as f64,
+            skewed_ns as f64 <= 1.5 * balanced_ns as f64,
             "stealing must keep the skewed assignment within 1.5x of balanced \
-             (skewed+steal {semi_ns}ns vs balanced {parallel_ns}ns)"
+             (skewed+steal {skewed_ns}ns vs balanced {balanced_ns}ns)"
         );
     }
     Record {
         workload: format!("service_skewed_shards/j{jobs}+b{ballast}x4w"),
-        naive_ns,
-        semi_ns,
-        parallel_ns,
-        rows: jobs + ballast,
-        rounds: on_steals as usize,
+        variants: vec![off, on, bal],
+        counters: vec![("jobs", jobs + ballast), ("steals", on_steals as usize)],
     }
 }
 
@@ -983,15 +991,11 @@ fn measure_socket_stream(
             .collect()
     };
 
-    let median = |times: &mut Vec<u128>| {
-        times.sort_unstable();
-        times[times.len() / 2]
-    };
     let mut direct_times = Vec::with_capacity(samples);
     for _ in 0..samples {
         let t0 = Instant::now();
         let answers = run_direct_batch(&corpus);
-        direct_times.push(t0.elapsed().as_nanos());
+        direct_times.push(t0.elapsed());
         assert_eq!(answers, reference, "direct-batch parity violated");
     }
     let sock_cfg = || typedtd_service::SockdConfig {
@@ -1020,7 +1024,7 @@ fn measure_socket_stream(
         let conns = connect(&server, 1);
         let t0 = Instant::now();
         let (answers, cached) = run_socket_stream(conns, &corpus);
-        single_times.push(t0.elapsed().as_nanos());
+        single_times.push(t0.elapsed());
         assert_eq!(answers, reference, "single-client wire parity violated");
         cached_single = cached;
         drop(server);
@@ -1033,27 +1037,25 @@ fn measure_socket_stream(
         let conns = connect(&server, clients);
         let t0 = Instant::now();
         let (answers, _) = run_socket_stream(conns, &corpus);
-        multi_times.push(t0.elapsed().as_nanos());
+        multi_times.push(t0.elapsed());
         assert_eq!(answers, reference, "multi-client wire parity violated");
         drop(server);
     }
-    let naive_ns = median(&mut direct_times);
-    let semi_ns = median(&mut single_times);
-    let parallel_ns = median(&mut multi_times);
+    let direct = Variant::new("direct_submit", direct_times);
+    let single = Variant::new("socket_1_client", single_times);
+    let multi = Variant::new("socket_n_clients", multi_times);
+    let (direct_ns, socket_ns) = (direct.median_ns, single.median_ns);
     if assert_overhead {
         assert!(
-            semi_ns as f64 <= 2.0 * naive_ns as f64,
+            socket_ns as f64 <= 2.0 * direct_ns as f64,
             "wire overhead must stay within 2x of direct submits \
-             (socket {semi_ns}ns vs direct {naive_ns}ns)"
+             (socket {socket_ns}ns vs direct {direct_ns}ns)"
         );
     }
     Record {
         workload: format!("service_socket_stream/d{distinct}xr{repeats}+{clients}c"),
-        naive_ns,
-        semi_ns,
-        parallel_ns,
-        rows: corpus.len(),
-        rounds: cached_single,
+        variants: vec![direct, single, multi],
+        counters: vec![("queries", corpus.len()), ("wire_cached", cached_single)],
     }
 }
 
@@ -1094,9 +1096,10 @@ fn measure_service_shared_sigma(
             })
             .collect()
     };
-    let (naive_ns, seq) = time(samples, make, decide_all);
-    let (semi_ns, (solo, solo_stats)) = time(samples, make, run(false));
-    let (parallel_ns, (grouped, group_stats)) = time(samples, make, run(true));
+    let (seq_v, seq) = time("sequential_decide", samples, make, decide_all);
+    let (solo_v, (solo, solo_stats)) = time("per_job", samples, make, run(false));
+    let (group_v, (grouped, group_stats)) = time("grouped", samples, make, run(true));
+    let (solo_ns, grouped_ns) = (solo_v.median_ns, group_v.median_ns);
     assert_eq!(seq, solo, "per-job service parity violated");
     assert_eq!(seq, grouped, "Σ-group service parity violated");
     assert!(
@@ -1114,22 +1117,22 @@ fn measure_service_shared_sigma(
     );
     assert_eq!(group_stats.group_fallbacks, 0, "terminating group cannot expire");
     if assert_speedup {
-        let ratio = semi_ns as f64 / parallel_ns as f64;
+        let ratio = solo_ns as f64 / grouped_ns as f64;
         assert!(
             ratio >= 2.0,
             "service_shared_sigma: group mode must be >= 2x per-job chasing, got {ratio:.2}x \
              (per-job {:.3} ms, grouped {:.3} ms)",
-            semi_ns as f64 / 1e6,
-            parallel_ns as f64 / 1e6,
+            solo_ns as f64 / 1e6,
+            grouped_ns as f64 / 1e6,
         );
     }
     Record {
         workload: format!("service_shared_sigma/w{width}r{rows}x{members}"),
-        naive_ns,
-        semi_ns,
-        parallel_ns,
-        rows: seq.len(),
-        rounds: group_stats.group_chases as usize,
+        variants: vec![seq_v, solo_v, group_v],
+        counters: vec![
+            ("jobs", seq.len()),
+            ("group_chases", group_stats.group_chases as usize),
+        ],
     }
 }
 
@@ -1158,11 +1161,7 @@ fn measure_service_warm_restart(distinct: usize, repeats: usize, samples: usize)
             .iter()
             .map(|q| q.conjoined().expect("driver resolves every query").implication)
             .collect();
-        (answers, client.stats(), t0.elapsed().as_nanos())
-    };
-    let median = |times: &mut Vec<u128>| {
-        times.sort_unstable();
-        times[times.len() / 2]
+        (answers, client.stats(), t0.elapsed())
     };
     let mut cold_times = Vec::with_capacity(samples);
     let mut warm_times = Vec::with_capacity(samples);
@@ -1205,11 +1204,12 @@ fn measure_service_warm_restart(distinct: usize, repeats: usize, samples: usize)
     }
     Record {
         workload: format!("service_warm_restart/d{distinct}xr{repeats}"),
-        naive_ns: median(&mut cold_times),
-        semi_ns: median(&mut warm_times),
-        parallel_ns: median(&mut verify_times),
-        rows: corpus.len(),
-        rounds: warm_hits as usize,
+        variants: vec![
+            Variant::new("cold", cold_times),
+            Variant::new("warm", warm_times),
+            Variant::new("warm_verified", verify_times),
+        ],
+        counters: vec![("queries", corpus.len()), ("warm_hits", warm_hits as usize)],
     }
 }
 
@@ -1227,10 +1227,7 @@ fn main() {
             measure_saturation("egd_saturation/w5/rows12/k2".into(), 1, || {
                 egd_saturation_workload(5, 12, 2, 1982)
             }),
-            // 5 samples (not 1): this row carries the parallel-vs-semi
-            // floor assertion below, and a single-sample median is pure
-            // scheduler noise. Still milliseconds-scale.
-            measure_saturation("divergent_saturation/inert8".into(), 5, || {
+            measure_saturation("divergent_saturation/inert8".into(), 1, || {
                 divergent_saturation_workload(8, 1982)
             }),
             measure_saturation("egd_cascade/chains2".into(), 1, || {
@@ -1293,63 +1290,69 @@ fn main() {
         ]
     };
 
-    // The delta-sharded parallel scanner must not lose to plain semi-naive
-    // on its headline workload (divergent saturation): ≥ 1.1× in the full
-    // suite on multi-core hosts, relaxed to ≥ 0.9× in smoke (single noisy
-    // samples) and on single-core hosts, where the thread fan-out cannot
-    // pay and only the deferred-satisfaction probe saving remains.
-    let multi_core = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
-    let parallel_floor = if smoke || !multi_core { 0.9 } else { 1.1 };
-    for r in records
-        .iter()
-        .filter(|r| r.workload.starts_with("divergent_saturation/"))
-    {
-        let ratio = r.semi_ns as f64 / r.parallel_ns as f64;
-        assert!(
-            ratio >= parallel_floor,
-            "{}: parallel must be >= {parallel_floor}x semi, got {ratio:.2}x \
-             (semi {:.3} ms, parallel {:.3} ms)",
-            r.workload,
-            r.semi_ns as f64 / 1e6,
-            r.parallel_ns as f64 / 1e6,
-        );
-    }
-
     println!(
-        "{:<38} {:>12} {:>12} {:>12} {:>8} {:>7} {:>7}",
-        "workload", "naive", "semi", "parallel", "speedup", "rows", "rounds"
+        "{:<44} {:<20} {:>12} {:>12} {:>12}",
+        "workload", "variant", "median", "min", "max"
     );
+    let ms = |ns: u128| format!("{:.3} ms", ns as f64 / 1e6);
     for r in &records {
-        println!(
-            "{:<38} {:>9.3} ms {:>9.3} ms {:>9.3} ms {:>7.2}x {:>7} {:>7}",
-            r.workload,
-            r.naive_ns as f64 / 1e6,
-            r.semi_ns as f64 / 1e6,
-            r.parallel_ns as f64 / 1e6,
-            r.naive_ns as f64 / r.semi_ns as f64,
-            r.rows,
-            r.rounds,
-        );
+        let counters: Vec<String> = r.counters.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        println!("{}  {}", r.workload, counters.join(" "));
+        for v in &r.variants {
+            println!(
+                "{:<44} {:<20} {:>12} {:>12} {:>12}",
+                "",
+                v.name,
+                ms(v.median_ns),
+                ms(v.min_ns),
+                ms(v.max_ns),
+            );
+        }
     }
 
     if json {
-        let mut out = String::from("[\n");
+        let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+        // `-dirty` marks a run over uncommitted changes.
+        let git_revision = std::process::Command::new("git")
+            .args(["describe", "--always", "--dirty", "--abbrev=40"])
+            .stderr(std::process::Stdio::null())
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+            .unwrap_or_else(|| "unknown".into());
+        let command = std::env::args().collect::<Vec<_>>().join(" ");
+        let mut out = format!(
+            "{{\n  \"nproc\": {nproc},\n  \"git_revision\": \"{git_revision}\",\n  \
+             \"command\": \"{}\",\n  \"records\": [\n",
+            command.replace('\\', "\\\\").replace('"', "\\\""),
+        );
         for (i, r) in records.iter().enumerate() {
+            let variants: Vec<String> = r
+                .variants
+                .iter()
+                .map(|v| {
+                    format!(
+                        "{{\"name\":\"{}\",\"samples\":{},\"median_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
+                        v.name, v.samples, v.median_ns, v.min_ns, v.max_ns
+                    )
+                })
+                .collect();
+            let counters: Vec<String> = r
+                .counters
+                .iter()
+                .map(|(k, v)| format!("\"{k}\":{v}"))
+                .collect();
             let _ = write!(
                 out,
-                "  {{\"workload\":\"{}\",\"naive_ns\":{},\"semi_ns\":{},\"parallel_ns\":{},\
-                 \"speedup\":{:.3},\"rows\":{},\"rounds\":{}}}{}",
+                "    {{\"workload\":\"{}\",\"variants\":[{}],\"counters\":{{{}}}}}{}",
                 r.workload,
-                r.naive_ns,
-                r.semi_ns,
-                r.parallel_ns,
-                r.naive_ns as f64 / r.semi_ns as f64,
-                r.rows,
-                r.rounds,
+                variants.join(","),
+                counters.join(","),
                 if i + 1 < records.len() { ",\n" } else { "\n" },
             );
         }
-        out.push_str("]\n");
+        out.push_str("  ]\n}\n");
         let path = if smoke {
             "BENCH_chase_smoke.json"
         } else {

@@ -134,7 +134,7 @@ pub fn classify(sigma: &[TdOrEgd]) -> FragmentReport {
 
 /// A chase budget that will never expire before a terminating chase
 /// reaches its verdict, keeping `base`'s strategy knobs (variant,
-/// parallelism, semi-naive, shard count).
+/// semi-naive).
 pub fn terminating_chase_config(base: &ChaseConfig) -> ChaseConfig {
     ChaseConfig {
         max_rounds: usize::MAX,

@@ -26,11 +26,14 @@
 //!   instance has been fully checked (`seen`);
 //! * trigger discovery for a dependency only enumerates embeddings that
 //!   touch at least one row of the *delta* — the rows stamped after `seen`,
-//!   drained from the log in time proportional to the delta — via
-//!   [`Embedder::for_each_embedding_touching`], which pins one hypothesis
-//!   row to the delta and backtracks over the rest. Deltas are cached per
-//!   distinct frontier for the pass ([`FrontierDeltas`]), shared by the egd
-//!   and td scans.
+//!   drained from the log in time proportional to the delta — via one
+//!   [`Embedder::scan`] per hypothesis row ([`ScanScope::Pinned`]), which
+//!   pins that row to the delta and hash-joins the rest against the whole
+//!   instance. Deltas are cached per distinct frontier for the pass
+//!   ([`FrontierDeltas`]).
+//!
+//! Scans run on the calling thread. Parallelism lives one level up: the
+//! service steps independent jobs on separate workers.
 //!
 //! This is sound and complete because triggers are monotone in the chase:
 //! an embedding whose rows are all old and unchanged was already enumerated
@@ -46,35 +49,6 @@
 //! [`ChaseConfig::semi_naive`]` = false` as a differential-testing
 //! reference: both modes produce identical [`ChaseOutcome`]s, round counts,
 //! and (up to isomorphism of labeled nulls) final instances.
-//!
-//! # Delta-sharded parallel scanning
-//!
-//! With [`ChaseConfig::parallel`] the per-round trigger scan is split into
-//! *work items* at `(dependency, pinned hypothesis row, delta chunk)`
-//! granularity — the pinned row ranges over a contiguous chunk of the
-//! delta's sorted ids (at most one chunk per worker), the rest of the
-//! hypothesis is hash-joined against the whole instance, plus one
-//! full-scan item per delta-less td. It is the *delta* that is sharded,
-//! not the dependency list: even a single divergent td with a one-row
-//! hypothesis fans out across all workers. Scoped worker threads steal
-//! items from a shared cursor, and results are merged back in item order —
-//! chunk order equals delta order, so the collected trigger list, and
-//! hence the applied trace, is identical to the sequential scan's. With
-//! one item (or one core) the scan runs inline; no threads are spawned.
-//!
-//! Parallel standard-variant semi-naive rounds additionally *defer* the
-//! per-trigger satisfaction probe for tds with existential conclusions:
-//! collection takes every embedding of a delta-touching hypothesis as a
-//! candidate and lets application's authoritative re-check (which must run
-//! anyway, under the merges of the round) filter the satisfied ones — one
-//! probe per trigger instead of two. Tds with *total* conclusions (every
-//! conclusion value occurs in the hypothesis) are filtered eagerly in every
-//! mode: there satisfaction is literal row membership, a single hash probe
-//! cheaper than the candidate clone deferral would buy. A round whose
-//! candidates all turn out satisfied is exactly a round the eager scan
-//! would have found empty, so it is reported terminal without incrementing
-//! the round counter; outcomes, round counts, and traces agree with the
-//! sequential engine.
 //!
 //! # Resumable stepping
 //!
@@ -98,12 +72,11 @@ use crate::core_retract::core_retract;
 use crate::instance::ChaseInstance;
 use crate::trace::{ChaseStep, ChaseTrace, StepKind};
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use typedtd_dependencies::{Td, TdOrEgd};
+use std::sync::Arc;
+use typedtd_dependencies::TdOrEgd;
 use typedtd_relational::{
-    satisfies_row, Embedder, FxHashMap, FxHashSet, Relation, RowDelta, ScanStats, Tuple, Universe,
-    Valuation, Value, ValuePool,
+    satisfies_row, Embedder, FxHashMap, FxHashSet, Relation, RowDelta, ScanScope, ScanStats, Tuple,
+    Universe, Valuation, Value, ValuePool,
 };
 
 /// Which chase strategy to run.
@@ -128,15 +101,9 @@ pub struct ChaseConfig {
     pub max_steps: usize,
     /// Strategy.
     pub variant: ChaseVariant,
-    /// Scan dependencies for triggers on multiple threads.
-    pub parallel: bool,
     /// Delta-driven (semi-naive) trigger discovery. `false` restores the
     /// naive full-rescan reference; outcomes are identical either way.
     pub semi_naive: bool,
-    /// Worker count for parallel scans; `None` (the default) probes the
-    /// hardware. An explicit count lets tests drive the sharded code path
-    /// deterministically regardless of host core count.
-    pub shards: Option<usize>,
 }
 
 impl Default for ChaseConfig {
@@ -146,9 +113,7 @@ impl Default for ChaseConfig {
             max_rows: 4_096,
             max_steps: 32_768,
             variant: ChaseVariant::Standard,
-            parallel: false,
             semi_naive: true,
-            shards: None,
         }
     }
 }
@@ -170,21 +135,9 @@ impl ChaseConfig {
         self
     }
 
-    /// Enables parallel trigger scanning.
-    pub fn with_parallel(mut self, on: bool) -> Self {
-        self.parallel = on;
-        self
-    }
-
     /// Toggles semi-naive (delta-driven) trigger discovery.
     pub fn with_semi_naive(mut self, on: bool) -> Self {
         self.semi_naive = on;
-        self
-    }
-
-    /// Pins the parallel worker count (tests; `None` probes the hardware).
-    pub fn with_shards(mut self, n: Option<usize>) -> Self {
-        self.shards = n;
         self
     }
 }
@@ -313,34 +266,11 @@ impl FrontierDeltas {
         })
     }
 
-    /// A previously filled delta.
-    fn get(&self, since: u64) -> &RowDelta {
-        &self.cache[&since]
-    }
-
     /// Drops cached deltas (a merge moved row positions), keeping the
     /// allocation for the next pass.
     fn reset(&mut self) {
         self.cache.clear();
     }
-}
-
-/// Hardware thread count, probed once per process.
-///
-/// `std::thread::available_parallelism` re-reads cgroup quota files on
-/// every call on Linux — measurable syscall overhead when asked once per
-/// chase round — so the answer is cached for the process lifetime.
-/// One trigger-scan work item's output: collected `(dependency, valuation)`
-/// candidates plus the scan's join counters.
-type ScanOutput = (Vec<(usize, Valuation)>, ScanStats);
-
-fn hardware_shards() -> usize {
-    static SHARDS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *SHARDS.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
 }
 
 /// The hypothesis rows of either dependency kind.
@@ -437,8 +367,6 @@ pub struct ChaseTask {
     /// Hash-join probe-side hits (non-pinned candidates surviving the
     /// consistency check) across all trigger scans so far.
     join_probe_hits: u64,
-    /// Total worker shards spawned by parallel trigger scans.
-    parallel_shards: u64,
     done: Option<ChaseOutcome>,
     /// Checked at round granularity; tripping it finishes the task with
     /// [`ChaseOutcome::Cancelled`].
@@ -554,7 +482,6 @@ impl ChaseTask {
             scan_plans,
             join_build_rows: 0,
             join_probe_hits: 0,
-            parallel_shards: 0,
             done: None,
             cancel: CancelToken::new(),
         }
@@ -639,11 +566,6 @@ impl ChaseTask {
         self.join_probe_hits
     }
 
-    /// Worker shards spawned by parallel trigger scans so far.
-    pub fn parallel_shards(&self) -> u64 {
-        self.parallel_shards
-    }
-
     /// The task's value pool (evolves as fresh nulls are minted).
     pub fn pool(&self) -> &ValuePool {
         &self.pool
@@ -716,7 +638,6 @@ impl ChaseTask {
                 return;
             }
         }
-        let deferred = self.deferred_satisfaction();
         let triggers = self.collect_td_triggers();
         if triggers.is_empty() {
             // Terminal. With a goal, the universal model refutes it; in
@@ -726,71 +647,17 @@ impl ChaseTask {
             return;
         }
         if self.rounds >= self.cfg.max_rounds {
-            // Deferred collection reports satisfied embeddings as
-            // candidates; probe them (without firing) so the budget
-            // boundary distinguishes a genuine fixpoint from exhaustion
-            // exactly as the eager scan's emptiness test does.
-            self.done = Some(if deferred && !self.any_unsatisfied(&triggers) {
-                ChaseOutcome::NotImplied
-            } else {
-                ChaseOutcome::Exhausted
-            });
+            self.done = Some(ChaseOutcome::Exhausted);
             return;
         }
-        match self.apply_td_triggers(triggers) {
-            ControlFlow::Break(o) => {
-                self.done = Some(o);
-                return;
-            }
-            ControlFlow::Continue(applied) => {
-                if deferred && applied == 0 {
-                    // Every candidate was satisfied, so the eager scan
-                    // would have collected nothing: terminal, and the
-                    // round counter stays put to match it. (In eager mode
-                    // a nonempty collection always fires at least its
-                    // first trigger, so `applied == 0` cannot happen
-                    // there.)
-                    self.done = Some(ChaseOutcome::NotImplied);
-                    return;
-                }
-            }
+        if let ControlFlow::Break(o) = self.apply_td_triggers(triggers) {
+            self.done = Some(o);
+            return;
         }
         if self.cfg.variant == ChaseVariant::Core {
             self.retract_to_core();
         }
         self.rounds += 1;
-    }
-
-    /// Whether trigger collection defers the satisfaction probe to
-    /// application (parallel semi-naive standard chase; see module docs).
-    fn deferred_satisfaction(&self) -> bool {
-        self.cfg.parallel && self.cfg.semi_naive && self.cfg.variant == ChaseVariant::Standard
-    }
-
-    /// Probes (without firing) whether any collected candidate is genuinely
-    /// unsatisfied — the deferred-collection analogue of the eager scan's
-    /// emptiness test, used only at the round-budget boundary. No merges
-    /// can have happened since collection (egd saturation precedes it in
-    /// the round), so the candidates' images are already canonical.
-    fn any_unsatisfied(&self, triggers: &[(usize, Valuation)]) -> bool {
-        let mut scratch = Vec::new();
-        let mut row_buf: Vec<Value> = Vec::new();
-        triggers.iter().any(|(di, alpha)| {
-            let TdOrEgd::Td(td) = &self.sigma[*di] else {
-                return false;
-            };
-            if self.total_concl[*di] {
-                row_buf.clear();
-                row_buf.extend(
-                    td.conclusion()
-                        .val()
-                        .map(|v| alpha.get(v).expect("total conclusion bound")),
-                );
-                !self.inst.relation().contains_values(&row_buf)
-            } else {
-                !satisfies_row(self.inst.relation(), td.conclusion(), alpha, &mut scratch)
-            }
-        })
     }
 
     /// Applies egd merges until none is violated.
@@ -820,6 +687,7 @@ impl ChaseTask {
                         continue;
                     }
                     let relation = self.inst.relation();
+                    let emb = Embedder::new(relation);
                     if delta.len() * 2 >= relation.len() {
                         // Merge-heavy pass: most rows are dirty, so the
                         // pin-partitioned enumeration would revisit nearly
@@ -828,14 +696,13 @@ impl ChaseTask {
                         // sound, and advancing the frontier afterwards
                         // stays correct for the same reason it does after
                         // a touching scan.
-                        e.violation_planned(relation, &self.scan_plans[di], &mut stats)
+                        e.violation_planned(&emb, ScanScope::Full, &self.scan_plans[di], &mut stats)
                     } else {
-                        e.violation_touching_planned(
-                            relation,
-                            delta,
-                            &self.touch_plans[di],
-                            &mut stats,
-                        )
+                        let mut pins = self.touch_plans[di].iter().enumerate();
+                        pins.find_map(|(pin, plan)| {
+                            let scope = ScanScope::Pinned { delta, pin };
+                            e.violation_planned(&emb, scope, plan, &mut stats)
+                        })
                     }
                 } else {
                     e.violation(self.inst.relation())
@@ -871,222 +738,75 @@ impl ChaseTask {
 
     /// Enumerates td triggers against the current (immutable this round)
     /// instance. For the standard and core variants only *unsatisfied*
-    /// triggers count (with the probe deferred to application in parallel
-    /// semi-naive mode); the oblivious variant takes every not-yet-fired
-    /// one.
+    /// triggers count; the oblivious variant takes every not-yet-fired one.
     ///
-    /// Semi-naive: each td only enumerates embeddings touching its delta;
-    /// its `seen` frontier then advances to the scanned version. The scan
-    /// is split into `(dependency, pinned hypothesis row)` work items — see
-    /// the module docs — which either run inline or are stolen by scoped
-    /// worker threads off a shared cursor; results merge in item order
-    /// either way, so the collected trigger list — and hence the applied
-    /// trace — is deterministic.
+    /// Semi-naive: each td only enumerates embeddings touching its delta,
+    /// one pinned scan per hypothesis row; its `seen` frontier then
+    /// advances to the scanned version. Triggers come out in td, pin, and
+    /// delta order, so the applied trace is deterministic.
     fn collect_td_triggers(&mut self) -> Vec<(usize, Valuation)> {
         let oblivious = self.cfg.variant == ChaseVariant::Oblivious;
-        let deferred = self.deferred_satisfaction();
         let scanned_at = self.inst.version();
-        // Per-td delta (None = scan everything, the naive reference),
-        // cached per distinct frontier.
-        let sinces: Vec<Option<u64>> = self
-            .sigma
-            .iter()
-            .enumerate()
-            .map(|(di, dep)| match dep {
-                TdOrEgd::Td(_) if self.cfg.semi_naive => Some(self.seen[di]),
-                _ => None,
-            })
-            .collect();
-        let mut frontier = FrontierDeltas::default();
-        for &since in sinces.iter().flatten() {
-            frontier.fill(&self.inst, since);
-        }
-        let deltas: Vec<Option<&RowDelta>> = sinces
-            .iter()
-            .map(|s| s.map(|since| frontier.get(since)))
-            .collect();
-
-        // The worklist: one item per (td, pinned hypothesis row, delta
-        // chunk) for tds with a nonempty delta, one full-scan item per
-        // delta-less td. Sharding the *delta* — not just the dependency
-        // list — means even a single divergent td with a one-row
-        // hypothesis fans out across workers. Egds and empty-delta tds
-        // are excluded up front so the parallel fan-out never claims an
-        // item with nothing to do.
-        let shard_target = if self.cfg.parallel {
-            self.cfg.shards.unwrap_or_else(hardware_shards).max(1)
-        } else {
-            1
-        };
-        enum Item<'t> {
-            /// Embeddings placing hypothesis row `pin` on delta rows
-            /// `lo..hi` (indices into the delta's sorted id list).
-            Pin {
-                di: usize,
-                td: &'t Td,
-                pin: usize,
-                lo: usize,
-                hi: usize,
-            },
-            /// Every embedding (naive reference / post-retraction rescan).
-            Full { di: usize, td: &'t Td },
-        }
-        let mut items: Vec<Item<'_>> = Vec::new();
+        let mut deltas = FrontierDeltas::default();
+        let emb = Embedder::new(self.inst.relation());
+        let seed = Valuation::new();
+        let mut stats = ScanStats::default();
+        let mut triggers: Vec<(usize, Valuation)> = Vec::new();
         for (di, dep) in self.sigma.iter().enumerate() {
             let TdOrEgd::Td(td) = dep else { continue };
-            match deltas[di] {
-                Some(d) if d.is_empty() => {}
-                Some(d) => {
-                    // Near-equal contiguous chunks, at most one per worker;
-                    // chunk order = delta order, so the item-order merge
-                    // below reproduces the sequential emission order.
-                    let chunks = shard_target.min(d.len());
-                    let per = d.len().div_ceil(chunks);
-                    for pin in 0..td.hypothesis().len() {
-                        let mut lo = 0;
-                        while lo < d.len() {
-                            let hi = (lo + per).min(d.len());
-                            items.push(Item::Pin { di, td, pin, lo, hi });
-                            lo = hi;
-                        }
-                    }
-                }
-                None => items.push(Item::Full { di, td }),
-            }
-        }
-        if items.is_empty() {
-            return Vec::new();
-        }
-
-        let emb = Embedder::new(self.inst.relation());
-        let empty_seed = Valuation::new();
-        let fired = &self.fired;
-        let hyp_vals = &self.hyp_vals;
-        let total_concl = &self.total_concl;
-        let touch_plans = &self.touch_plans;
-        let scan_plans = &self.scan_plans;
-        let run_item = |item: &Item<'_>| -> ScanOutput {
-            let mut out = Vec::new();
-            let mut stats = ScanStats::default();
-            let mut key_buf: Vec<Value> = Vec::new();
-            let (di, td) = match *item {
-                Item::Pin { di, td, .. } | Item::Full { di, td } => (di, td),
-            };
+            let hyp = td.hypothesis();
+            let key_buf = &mut self.key_buf;
             let mut visit = |alpha: &Valuation| {
                 let is_trigger = if oblivious {
                     key_buf.clear();
                     key_buf.extend(
-                        hyp_vals[di]
+                        self.hyp_vals[di]
                             .iter()
                             .map(|&v| alpha.get(v).expect("hypothesis value bound")),
                     );
-                    !fired[di].contains(key_buf.as_slice())
-                } else if total_concl[di] {
+                    !self.fired[di].contains(key_buf.as_slice())
+                } else if self.total_concl[di] {
                     // Total conclusion: satisfaction is literal membership
                     // of the (fully bound) conclusion row — one hash probe.
-                    // Kept even under deferred collection, where it is
-                    // cheaper than the valuation clone it saves;
-                    // application re-checks authoritatively either way.
                     key_buf.clear();
                     key_buf.extend(
                         td.conclusion()
                             .val()
                             .map(|v| alpha.get(v).expect("total conclusion bound")),
                     );
-                    !emb.target().contains_values(&key_buf)
-                } else if deferred {
-                    true // application re-checks authoritatively
+                    !emb.target().contains_values(key_buf)
                 } else {
                     !emb.embeds(std::slice::from_ref(td.conclusion()), alpha)
                 };
                 if is_trigger {
-                    out.push((di, alpha.clone()));
+                    triggers.push((di, alpha.clone()));
                 }
                 ControlFlow::Continue(())
             };
-            match *item {
-                Item::Pin { pin, lo, hi, .. } => {
-                    let delta = deltas[di].expect("pinned item implies a delta");
-                    emb.for_each_embedding_touching_pin_range(
-                        td.hypothesis(),
-                        &empty_seed,
-                        delta,
-                        pin,
-                        lo..hi,
-                        &touch_plans[di][pin],
-                        &mut stats,
-                        &mut visit,
-                    );
+            if self.cfg.semi_naive {
+                let delta = deltas.fill(&self.inst, self.seen[di]);
+                for (pin, plan) in self.touch_plans[di].iter().enumerate() {
+                    let scope = ScanScope::Pinned { delta, pin };
+                    emb.scan(hyp, &seed, scope, plan, &mut stats, &mut visit);
                 }
-                Item::Full { .. } => {
-                    emb.for_each_embedding_planned(
-                        td.hypothesis(),
-                        &empty_seed,
-                        &scan_plans[di],
-                        &mut stats,
-                        &mut visit,
-                    );
-                }
-            }
-            (out, stats)
-        };
-
-        let mut triggers: Vec<(usize, Valuation)> = Vec::new();
-        let mut stats = ScanStats::default();
-        let shards = shard_target.min(items.len());
-        if shards > 1 {
-            // Work stealing: workers claim items off a shared cursor, park
-            // results in per-item slots, and the merge walks the slots in
-            // item order — identical output to the inline loop below.
-            let cursor = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<ScanOutput>>> =
-                (0..items.len()).map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..shards {
-                    scope.spawn(|| loop {
-                        let wi = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(wi) else { break };
-                        *slots[wi].lock().unwrap() = Some(run_item(item));
-                    });
-                }
-            });
-            for slot in slots {
-                let (out, s) = slot
-                    .into_inner()
-                    .unwrap()
-                    .expect("every work item was claimed");
-                triggers.extend(out);
-                stats.absorb(s);
-            }
-            self.parallel_shards += shards as u64;
-        } else {
-            for item in &items {
-                let (out, s) = run_item(item);
-                triggers.extend(out);
-                stats.absorb(s);
+                self.seen[di] = scanned_at;
+            } else {
+                let plan = &self.scan_plans[di];
+                emb.scan(hyp, &seed, ScanScope::Full, plan, &mut stats, &mut visit);
             }
         }
         self.join_build_rows += stats.build_rows;
         self.join_probe_hits += stats.probe_hits;
-        if self.cfg.semi_naive {
-            for (di, dep) in self.sigma.iter().enumerate() {
-                if matches!(dep, TdOrEgd::Td(_)) {
-                    self.seen[di] = scanned_at;
-                }
-            }
-        }
         triggers
     }
 
     /// Fires the collected triggers (re-verifying each under the merges and
-    /// additions that happened earlier in the round). Continues with the
-    /// number of rows actually inserted.
+    /// additions that happened earlier in the round).
     fn apply_td_triggers(
         &mut self,
         triggers: Vec<(usize, Valuation)>,
-    ) -> ControlFlow<ChaseOutcome, usize> {
+    ) -> ControlFlow<ChaseOutcome> {
         let oblivious = self.cfg.variant == ChaseVariant::Oblivious;
-        let mut applied = 0usize;
         // Trail buffer for the per-trigger satisfaction probes; lent to
         // `satisfies_row` so the hot loop allocates nothing per trigger.
         let mut scratch = Vec::new();
@@ -1152,16 +872,13 @@ impl ChaseTask {
                     kind: StepKind::AddRow { row },
                 });
                 self.steps += 1;
-                applied += 1;
-                // Budgets can only newly trip on an insert, so checking
-                // here (not after skipped triggers) keeps the eager and
-                // deferred modes on identical outcomes.
+                // Budgets can only newly trip on an insert.
                 if self.steps >= self.cfg.max_steps || self.inst.len() >= self.cfg.max_rows {
                     return ControlFlow::Break(ChaseOutcome::Exhausted);
                 }
             }
         }
-        ControlFlow::Continue(applied)
+        ControlFlow::Continue(())
     }
 
     /// Core-chase retraction: shrink the instance to its core, keeping the

@@ -233,8 +233,6 @@ pub struct ProgressSnapshot {
     pub join_build_rows: u64,
     /// Hash-join probe-side hits scored by the chase's trigger scans.
     pub join_probe_hits: u64,
-    /// Worker shards spawned by the chase's parallel trigger scans.
-    pub parallel_shards: u64,
 }
 
 /// Progress phase of a [`DecideTask`].
@@ -538,7 +536,6 @@ impl DecideTask {
         snap.instance_rows = task.instance_rows() as u64;
         snap.join_build_rows = task.join_build_rows();
         snap.join_probe_hits = task.join_probe_hits();
-        snap.parallel_shards = task.parallel_shards();
     }
 
     /// Freezes the chase counters into the mirror before the sub-task is

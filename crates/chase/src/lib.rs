@@ -13,8 +13,8 @@
 //!   derivation). Trigger discovery is *semi-naive*: per-row version
 //!   stamps restrict each round's embedding search to the delta (see
 //!   [`engine`] for the architecture and the naive reference mode);
-//! * [`search::random_counterexample`] / [`search::exhaustive_counterexample`]
-//!   — enumeration of finite models, the r.e. procedure for `Σ ⊭_f σ`;
+//! * [`search::random_counterexample`] — enumeration of finite models,
+//!   the r.e. procedure for `Σ ⊭_f σ`;
 //! * [`decide`] / [`decide_dependencies`] — both procedures dovetailed into
 //!   a three-valued [`Answer`] (`Yes` / `No` / `Unknown`);
 //! * [`ChaseTask`] / [`SearchTask`] / [`DecideTask`] — the same three
@@ -56,8 +56,7 @@ pub use implication::{
 pub use instance::ChaseInstance;
 pub use termination::{dependency_graph, is_guarded, is_linear, weakly_acyclic, Edge};
 pub use search::{
-    exhaustive_counterexample, is_counterexample, random_counterexample, SearchConfig,
-    SearchStatus, SearchTask,
+    is_counterexample, random_counterexample, SearchConfig, SearchStatus, SearchTask,
 };
 pub use trace::{ChaseStep, ChaseTrace, StepKind};
 pub use unionfind::UnionFind;

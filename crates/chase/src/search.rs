@@ -2,14 +2,11 @@
 //!
 //! Section 2.3 of the paper observes that `{(Σ, σ) : Σ ⊭_f σ}` is
 //! recursively enumerable: enumerate finite relations and test each. This
-//! module implements that enumeration two ways:
-//!
-//! * [`exhaustive_counterexample`] — systematic enumeration of all small
-//!   relations over a bounded domain (complete up to the bound);
-//! * [`random_counterexample`] — randomized model construction with chase
-//!   style *repair over a finite domain*: td violations are fixed by binding
-//!   existentials to random existing domain values instead of fresh nulls,
-//!   egd violations by collapsing the two values. Much better scaling.
+//! module implements that enumeration as [`random_counterexample`]:
+//! randomized model construction with chase-style *repair over a finite
+//! domain* — td violations are fixed by binding existentials to random
+//! existing domain values instead of fresh nulls, egd violations by
+//! collapsing the two values.
 //!
 //! Together with the chase (the r.e. procedure for `Σ ⊨ σ`) these bracket
 //! the undecidable gap the paper establishes: for typed tds and pjds no
@@ -79,82 +76,6 @@ pub fn is_counterexample(rel: &Relation, sigma: &[TdOrEgd], goal: &TdOrEgd) -> b
     !rel.is_empty()
         && sigma.iter().all(|d| d.satisfied_by(rel))
         && !goal.satisfied_by(rel)
-}
-
-/// Systematically enumerates relations over a `k`-per-attribute domain with
-/// at most `max_rows` rows (and at most `max_candidates` candidates in
-/// total), returning the first counterexample.
-///
-/// Complete for the given bounds: if it returns `None`, no counterexample
-/// exists within them.
-pub fn exhaustive_counterexample(
-    sigma: &[TdOrEgd],
-    goal: &TdOrEgd,
-    universe: &Arc<Universe>,
-    pool: &mut ValuePool,
-    k: usize,
-    max_rows: usize,
-    max_candidates: usize,
-) -> Option<Relation> {
-    let domain = make_domain(universe, pool, k);
-    let width = universe.width();
-    // Materialize the tuple space.
-    let mut space: Vec<Tuple> = Vec::new();
-    let mut idx = vec![0usize; width];
-    'outer: loop {
-        space.push(Tuple::new(
-            (0..width).map(|i| domain[i][idx[i]]).collect(),
-        ));
-        for i in (0..width).rev() {
-            idx[i] += 1;
-            if idx[i] < k {
-                continue 'outer;
-            }
-            idx[i] = 0;
-        }
-        break;
-    }
-
-    // Subsets by increasing cardinality (small models first).
-    let mut tried = 0usize;
-    for size in 1..=max_rows.min(space.len()) {
-        let mut combo: Vec<usize> = (0..size).collect();
-        loop {
-            tried += 1;
-            if tried > max_candidates {
-                return None;
-            }
-            let rel = Relation::from_rows(
-                universe.clone(),
-                combo.iter().map(|&i| space[i].clone()),
-            );
-            if is_counterexample(&rel, sigma, goal) {
-                return Some(rel);
-            }
-            if !next_combination(&mut combo, space.len()) {
-                break;
-            }
-        }
-    }
-    None
-}
-
-/// Advances `combo` to the next k-combination of `{0, …, n−1}` in
-/// lexicographic order; returns `false` when exhausted.
-fn next_combination(combo: &mut [usize], n: usize) -> bool {
-    let k = combo.len();
-    let mut i = k;
-    while i > 0 {
-        i -= 1;
-        if combo[i] < n - k + i {
-            combo[i] += 1;
-            for j in i + 1..k {
-                combo[j] = combo[j - 1] + 1;
-            }
-            return true;
-        }
-    }
-    false
 }
 
 /// Randomized finite-model search with repair. Thin driver over
@@ -457,24 +378,5 @@ mod tests {
             ..Default::default()
         };
         assert!(random_counterexample(&[], &goal, &u, &mut p, &cfg).is_none());
-    }
-
-    #[test]
-    fn exhaustive_finds_two_row_witness() {
-        // ∅ does not imply A' → B': minimal witness has 2 rows.
-        let u = Universe::untyped_abc();
-        let mut p = ValuePool::new(u.clone());
-        let fd_egd = egd_from_names(
-            &u,
-            &mut p,
-            &[&["x", "y1", "z1"], &["x", "y2", "z2"]],
-            ("B'", "y1"),
-            ("B'", "y2"),
-        );
-        let goal = TdOrEgd::Egd(fd_egd);
-        let found =
-            exhaustive_counterexample(&[], &goal, &u, &mut p, 2, 3, 100_000).expect("witness");
-        assert!(found.len() <= 2);
-        assert!(is_counterexample(&found, &[], &goal));
     }
 }

@@ -7,7 +7,7 @@
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use typedtd_relational::{
-    Embedder, Relation, RowDelta, ScanStats, Tuple, Universe, Valuation, Value, ValuePool,
+    Embedder, Relation, ScanScope, ScanStats, Tuple, Universe, Valuation, Value, ValuePool,
 };
 
 /// An equality-generating dependency `(a = b, I)`.
@@ -111,51 +111,30 @@ impl Egd {
 
     /// Finds a valuation witnessing `J ⊭ (a = b, I)`, if any.
     pub fn violation(&self, j: &Relation) -> Option<Valuation> {
-        let emb = Embedder::new(j);
-        let mut witness = None;
-        emb.for_each_embedding(&self.hypothesis, &Valuation::new(), |alpha| {
-            if alpha.get(self.left) == alpha.get(self.right) {
-                ControlFlow::Continue(())
-            } else {
-                witness = Some(alpha.clone());
-                ControlFlow::Break(())
-            }
-        });
-        witness
+        let plan = Embedder::scan_plan(&self.hypothesis, &Valuation::new());
+        let mut stats = ScanStats::default();
+        self.violation_planned(&Embedder::new(j), ScanScope::Full, &plan, &mut stats)
     }
 
-    /// Finds a violating valuation whose hypothesis embedding touches at
-    /// least one row of `delta` — the semi-naive chase's restricted check.
+    /// Finds a violating valuation among the hypothesis embeddings `scope`
+    /// admits, placing hypothesis rows in `plan` order ([`Embedder::scan`]
+    /// with an empty seed). The chase caches plans per dependency and
+    /// scans each pin of its delta in turn ([`ScanScope::Pinned`]).
     ///
     /// Complete relative to the semi-naive invariant: if every embedding
-    /// avoiding `delta` was previously verified non-violating (and the
-    /// touched rows have not changed since), `None` here means `J ⊨ self`.
-    pub fn violation_touching(&self, j: &Relation, delta: &RowDelta) -> Option<Valuation> {
-        let emb = Embedder::new(j);
-        let mut witness = None;
-        emb.for_each_embedding_touching(&self.hypothesis, &Valuation::new(), delta, |alpha| {
-            if alpha.get(self.left) == alpha.get(self.right) {
-                ControlFlow::Continue(())
-            } else {
-                witness = Some(alpha.clone());
-                ControlFlow::Break(())
-            }
-        });
-        witness
-    }
-
-    /// [`Self::violation`] with a precomputed placement plan
-    /// ([`Embedder::scan_plan`] over the hypothesis, empty seed) and join
-    /// counters — the chase caches the plan per dependency.
+    /// avoiding the delta was previously verified non-violating (and the
+    /// touched rows have not changed since), `None` from every pin means
+    /// `J ⊨ self`.
     pub fn violation_planned(
         &self,
-        j: &Relation,
+        emb: &Embedder<'_>,
+        scope: ScanScope<'_>,
         plan: &[usize],
         stats: &mut ScanStats,
     ) -> Option<Valuation> {
-        let emb = Embedder::new(j);
         let mut witness = None;
-        emb.for_each_embedding_planned(&self.hypothesis, &Valuation::new(), plan, stats, |alpha| {
+        let seed = Valuation::new();
+        emb.scan(&self.hypothesis, &seed, scope, plan, stats, |alpha| {
             if alpha.get(self.left) == alpha.get(self.right) {
                 ControlFlow::Continue(())
             } else {
@@ -163,43 +142,6 @@ impl Egd {
                 ControlFlow::Break(())
             }
         });
-        witness
-    }
-
-    /// [`Self::violation_touching`] with precomputed per-pin placement plans
-    /// ([`Embedder::touch_plans`] over the hypothesis, empty seed) and join
-    /// counters.
-    pub fn violation_touching_planned(
-        &self,
-        j: &Relation,
-        delta: &RowDelta,
-        plans: &[Vec<usize>],
-        stats: &mut ScanStats,
-    ) -> Option<Valuation> {
-        let emb = Embedder::new(j);
-        let seed = Valuation::new();
-        let mut witness = None;
-        for (pin, plan) in plans.iter().enumerate() {
-            let broke = emb.for_each_embedding_touching_pin(
-                &self.hypothesis,
-                &seed,
-                delta,
-                pin,
-                plan,
-                stats,
-                |alpha| {
-                    if alpha.get(self.left) == alpha.get(self.right) {
-                        ControlFlow::Continue(())
-                    } else {
-                        witness = Some(alpha.clone());
-                        ControlFlow::Break(())
-                    }
-                },
-            );
-            if broke {
-                break;
-            }
-        }
         witness
     }
 
@@ -224,7 +166,7 @@ impl Egd {
 mod tests {
     use super::*;
     use crate::td::egd_from_names;
-    use typedtd_relational::AttrId;
+    use typedtd_relational::{AttrId, RowDelta};
 
     fn rel(u: &Arc<Universe>, p: &mut ValuePool, rows: &[&[&str]]) -> Relation {
         Relation::from_rows(
@@ -259,9 +201,18 @@ mod tests {
         assert!(egd.violation(&bad).is_some());
     }
 
+    /// The semi-naive check: pinned scans over every pin of `delta`.
+    fn violation_touching(egd: &Egd, j: &Relation, delta: &RowDelta) -> Option<Valuation> {
+        let emb = Embedder::new(j);
+        let plans = Embedder::touch_plans(egd.hypothesis(), &Valuation::new());
+        let mut stats = ScanStats::default();
+        plans.iter().enumerate().find_map(|(pin, plan)| {
+            egd.violation_planned(&emb, ScanScope::Pinned { delta, pin }, plan, &mut stats)
+        })
+    }
+
     #[test]
     fn violation_touching_respects_delta() {
-        use typedtd_relational::RowDelta;
         let u = Universe::untyped_abc();
         let mut p = ValuePool::new(u.clone());
         let egd = egd_from_names(
@@ -279,13 +230,9 @@ mod tests {
         );
         assert!(egd.violation(&j).is_some());
         // Any delta containing the offending row finds it …
-        assert!(egd
-            .violation_touching(&j, &RowDelta::from_ids(vec![2]))
-            .is_some());
+        assert!(violation_touching(&egd, &j, &RowDelta::from_ids(vec![2])).is_some());
         // … and an empty delta scans nothing, violating relation or not.
-        assert!(egd
-            .violation_touching(&j, &RowDelta::from_ids(vec![]))
-            .is_none());
+        assert!(violation_touching(&egd, &j, &RowDelta::from_ids(vec![])).is_none());
     }
 
     #[test]

@@ -145,8 +145,8 @@ impl RowDelta {
 ///
 /// `build_rows` counts delta rows taken as the pinned (build-side) source
 /// row; `probe_hits` counts index-probe candidates that matched the partial
-/// valuation. Returned per call so the [`Embedder`] stays shareable across
-/// scoped threads.
+/// valuation. The caller owns the counters and lends them to each scan, so
+/// the [`Embedder`] itself stays immutable.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Delta rows enumerated as the pinned source row.
@@ -155,34 +155,48 @@ pub struct ScanStats {
     pub probe_hits: u64,
 }
 
-impl ScanStats {
-    /// Accumulates another scan's counters.
-    pub fn absorb(&mut self, other: ScanStats) {
-        self.build_rows += other.build_rows;
-        self.probe_hits += other.probe_hits;
-    }
+/// Which embeddings a planned scan ([`Embedder::scan`]) enumerates.
+#[derive(Clone, Copy, Debug)]
+pub enum ScanScope<'d> {
+    /// Every embedding into the target.
+    Full,
+    /// The embeddings whose source row `pin` lands on a row of `delta`
+    /// while every earlier source row lands outside it — the semi-naive
+    /// unit of work. Scanning pins `0..source.len()` in turn enumerates
+    /// each embedding that touches the delta exactly once: at the smallest
+    /// source index whose image lies in the delta.
+    Pinned {
+        /// The delta rows.
+        delta: &'d RowDelta,
+        /// Index of the source row pinned to the delta.
+        pin: usize,
+    },
 }
 
-/// How a source row may be placed during delta-restricted search.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum RowClass {
+/// How a source row may be placed during search.
+#[derive(Clone, Copy, Debug)]
+enum RowClass<'d> {
     /// Any target row.
     Any,
     /// Only delta rows (the pinned source row).
-    Delta,
+    Delta(&'d RowDelta),
     /// Only non-delta rows (source rows before the pin, so each embedding is
     /// enumerated exactly once: at its smallest delta-touching source index).
-    Old,
+    Old(&'d RowDelta),
 }
 
-struct DeltaConstraint<'d> {
-    classes: Vec<RowClass>,
-    delta: &'d RowDelta,
-    /// The slice of `delta.ids()` the pinned row actually enumerates —
-    /// the whole delta normally, one shard of it under parallel scanning.
-    /// `Old`-class exclusion still tests the full delta, so chunked scans
-    /// partition (never duplicate) the unchunked emission set.
-    pin_ids: &'d [u32],
+impl<'d> ScanScope<'d> {
+    /// The placement class of source row `row`.
+    fn class(self, row: usize) -> RowClass<'d> {
+        match self {
+            ScanScope::Full => RowClass::Any,
+            ScanScope::Pinned { delta, pin } => match row.cmp(&pin) {
+                std::cmp::Ordering::Less => RowClass::Old(delta),
+                std::cmp::Ordering::Equal => RowClass::Delta(delta),
+                std::cmp::Ordering::Greater => RowClass::Any,
+            },
+        }
+    }
 }
 
 /// Where emitted embeddings go. `Exists` short-circuits without
@@ -225,8 +239,8 @@ fn lookup(seed: &Valuation, trail: &[(Value, Value)], v: Value) -> Option<Value>
 /// Reusable embedding searcher for one target relation.
 ///
 /// Borrows the target's incrementally maintained [`ColumnIndex`] —
-/// construction is free of index-build cost. Holds no interior mutability,
-/// so one `Embedder` may be shared across scoped threads.
+/// construction is free of index-build cost. Searching never mutates the
+/// `Embedder`; join counters go to a caller-owned [`ScanStats`].
 pub struct Embedder<'a> {
     target: &'a Relation,
     index: &'a ColumnIndex,
@@ -261,138 +275,42 @@ impl<'a> Embedder<'a> {
     ) -> bool {
         let order = Self::scan_plan(source, seed);
         let mut stats = ScanStats::default();
-        self.for_each_embedding_planned(source, seed, &order, &mut stats, f)
-    }
-
-    /// [`Self::for_each_embedding`] with a precomputed placement plan (see
-    /// [`Self::scan_plan`]; plans depend only on the source rows and the
-    /// seed's bound set, so callers scanning the same dependency every round
-    /// compute them once). Join counters accumulate into `stats`.
-    pub fn for_each_embedding_planned(
-        &self,
-        source: &[Tuple],
-        seed: &Valuation,
-        plan: &[usize],
-        stats: &mut ScanStats,
-        mut f: impl FnMut(&Valuation) -> ControlFlow<()>,
-    ) -> bool {
-        let mut trail: Vec<(Value, Value)> = Vec::new();
-        let mut sink = Sink::Each(&mut f);
-        self.search(source, plan, 0, seed, &mut trail, None, stats, &mut sink)
-            .is_break()
+        self.scan(source, seed, ScanScope::Full, &order, &mut stats, f)
     }
 
     /// Calls `f` for every valuation `α ⊇ seed` with `α(source) ⊆ target`
-    /// that maps **at least one source row onto a row of `delta`** — the
-    /// semi-naive trigger-discovery entry point.
+    /// that `scope` admits, placing source rows in `plan` order — the
+    /// chase's trigger-scan entry point. Join counters accumulate into
+    /// `stats`.
     ///
-    /// Each qualifying embedding is enumerated exactly once: it is produced
-    /// for the *smallest* source-row index whose image lies in the delta
-    /// (earlier rows are constrained to old rows, later rows are free).
-    /// With an empty `source` or an empty `delta` nothing is enumerated.
+    /// Plans depend only on the source rows and the seed's bound set, so a
+    /// caller scanning the same dependency every round computes them once:
+    /// [`Self::scan_plan`] for [`ScanScope::Full`], [`Self::touch_plans`]
+    /// (indexed by pin) for [`ScanScope::Pinned`]. Every ordering of the
+    /// source rows enumerates the same set of embeddings; the plan decides
+    /// the emission order and the cost. A pinned scan over an empty delta
+    /// enumerates nothing.
     ///
     /// Returns `true` if `f` broke out early.
-    pub fn for_each_embedding_touching(
+    pub fn scan(
         &self,
         source: &[Tuple],
         seed: &Valuation,
-        delta: &RowDelta,
+        scope: ScanScope<'_>,
+        plan: &[usize],
+        stats: &mut ScanStats,
         mut f: impl FnMut(&Valuation) -> ControlFlow<()>,
     ) -> bool {
-        if source.is_empty() || delta.is_empty() {
-            return false;
-        }
-        let mut stats = ScanStats::default();
-        for pin in 0..source.len() {
-            let order = Self::plan(source, seed, Some(pin));
-            if self.for_each_embedding_touching_pin(
-                source, seed, delta, pin, &order, &mut stats, &mut f,
-            ) {
-                return true;
+        if let ScanScope::Pinned { delta, pin } = scope {
+            assert!(pin < source.len(), "pin {pin} is not a source row");
+            if delta.is_empty() {
+                return false;
             }
         }
-        false
-    }
-
-    /// One pin of the delta-touching enumeration: embeddings whose source
-    /// row `pin` lands in `delta` while earlier rows avoid it. `plan` must
-    /// be a placement order with `pin` first (see [`Self::touch_plans`]).
-    ///
-    /// This is the unit of work the parallel chase shards across threads —
-    /// enumerating pins `0..source.len()` in order and concatenating the
-    /// emissions reproduces [`Self::for_each_embedding_touching`] exactly.
-    ///
-    /// Returns `true` if `f` broke out early.
-    #[allow(clippy::too_many_arguments)]
-    pub fn for_each_embedding_touching_pin(
-        &self,
-        source: &[Tuple],
-        seed: &Valuation,
-        delta: &RowDelta,
-        pin: usize,
-        plan: &[usize],
-        stats: &mut ScanStats,
-        f: impl FnMut(&Valuation) -> ControlFlow<()>,
-    ) -> bool {
-        self.for_each_embedding_touching_pin_range(
-            source,
-            seed,
-            delta,
-            pin,
-            0..delta.len(),
-            plan,
-            stats,
-            f,
-        )
-    }
-
-    /// As [`Self::for_each_embedding_touching_pin`], but the pinned source
-    /// row only ranges over `range` (indices into `delta.ids()`). Old-row
-    /// exclusion for source rows before the pin still uses the *full*
-    /// delta, so the emissions over a partition of `0..delta.len()` —
-    /// concatenated in range order — reproduce the unchunked call exactly.
-    /// This is the unit the parallel chase shards across worker threads.
-    ///
-    /// Returns `true` if `f` broke out early.
-    #[allow(clippy::too_many_arguments)]
-    pub fn for_each_embedding_touching_pin_range(
-        &self,
-        source: &[Tuple],
-        seed: &Valuation,
-        delta: &RowDelta,
-        pin: usize,
-        range: std::ops::Range<usize>,
-        plan: &[usize],
-        stats: &mut ScanStats,
-        mut f: impl FnMut(&Valuation) -> ControlFlow<()>,
-    ) -> bool {
-        if source.is_empty() || delta.is_empty() || range.is_empty() {
-            return false;
-        }
-        let constraint = DeltaConstraint {
-            classes: (0..source.len())
-                .map(|i| match i.cmp(&pin) {
-                    std::cmp::Ordering::Less => RowClass::Old,
-                    std::cmp::Ordering::Equal => RowClass::Delta,
-                    std::cmp::Ordering::Greater => RowClass::Any,
-                })
-                .collect(),
-            delta,
-            pin_ids: &delta.ids()[range],
-        };
         let mut trail: Vec<(Value, Value)> = Vec::new();
         let mut sink = Sink::Each(&mut f);
-        self.search(
-            source,
-            plan,
-            0,
-            seed,
-            &mut trail,
-            Some(&constraint),
-            stats,
-            &mut sink,
-        )
-        .is_break()
+        self.search(source, plan, 0, seed, &mut trail, scope, stats, &mut sink)
+            .is_break()
     }
 
     /// First embedding extending `seed`, if any.
@@ -409,16 +327,20 @@ impl<'a> Embedder<'a> {
     /// materialized).
     pub fn embeds(&self, source: &[Tuple], seed: &Valuation) -> bool {
         let order = Self::scan_plan(source, seed);
-        self.embeds_planned(source, seed, &order)
-    }
-
-    /// [`Self::embeds`] with a precomputed placement plan.
-    pub fn embeds_planned(&self, source: &[Tuple], seed: &Valuation, plan: &[usize]) -> bool {
         let mut found = false;
         let mut trail: Vec<(Value, Value)> = Vec::new();
         let mut stats = ScanStats::default();
         let mut sink = Sink::Exists(&mut found);
-        let _ = self.search(source, plan, 0, seed, &mut trail, None, &mut stats, &mut sink);
+        let _ = self.search(
+            source,
+            &order,
+            0,
+            seed,
+            &mut trail,
+            ScanScope::Full,
+            &mut stats,
+            &mut sink,
+        );
         found
     }
 
@@ -440,9 +362,9 @@ impl<'a> Embedder<'a> {
         Self::plan(source, seed, None)
     }
 
-    /// One placement plan per pin for delta-touching scans, for use with
-    /// [`Self::for_each_embedding_touching_pin`]. Cache these per
-    /// dependency: they are invariant across chase rounds.
+    /// One placement plan per pin for [`ScanScope::Pinned`] scans, each
+    /// placing its pin first (its candidates are the small delta). Cache
+    /// these per dependency: they are invariant across chase rounds.
     pub fn touch_plans(source: &[Tuple], seed: &Valuation) -> Vec<Vec<usize>> {
         (0..source.len())
             .map(|pin| Self::plan(source, seed, Some(pin)))
@@ -490,7 +412,7 @@ impl<'a> Embedder<'a> {
         depth: usize,
         seed: &Valuation,
         trail: &mut Vec<(Value, Value)>,
-        constraint: Option<&DeltaConstraint<'_>>,
+        scope: ScanScope<'_>,
         stats: &mut ScanStats,
         sink: &mut Sink<'_>,
     ) -> ControlFlow<()> {
@@ -498,7 +420,7 @@ impl<'a> Embedder<'a> {
             return sink.emit(seed, trail);
         }
         let row = &source[order[depth]];
-        let class = constraint.map_or(RowClass::Any, |c| c.classes[order[depth]]);
+        let class = scope.class(order[depth]);
 
         // Choose the cheapest candidate source: the bound column with the
         // shortest posting list, or the whole relation if nothing is bound.
@@ -520,23 +442,14 @@ impl<'a> Embedder<'a> {
          -> ControlFlow<()> {
             match class {
                 RowClass::Any => {}
-                RowClass::Delta => {
-                    if constraint
-                        .expect("delta class implies constraint")
-                        .pin_ids
-                        .binary_search(&ri)
-                        .is_err()
-                    {
+                RowClass::Delta(delta) => {
+                    if !delta.contains(ri) {
                         return ControlFlow::Continue(());
                     }
                     stats.build_rows += 1;
                 }
-                RowClass::Old => {
-                    if constraint
-                        .expect("old class implies constraint")
-                        .delta
-                        .contains(ri)
-                    {
+                RowClass::Old(delta) => {
+                    if delta.contains(ri) {
                         return ControlFlow::Continue(());
                     }
                 }
@@ -557,10 +470,10 @@ impl<'a> Embedder<'a> {
                 }
             }
             let flow = if ok {
-                if class != RowClass::Delta {
+                if !matches!(class, RowClass::Delta(_)) {
                     stats.probe_hits += 1;
                 }
-                self.search(source, order, depth + 1, seed, trail, constraint, stats, sink)
+                self.search(source, order, depth + 1, seed, trail, scope, stats, sink)
             } else {
                 ControlFlow::Continue(())
             };
@@ -572,7 +485,7 @@ impl<'a> Embedder<'a> {
         // smallest candidate set; consistency with the bindings is re-checked
         // by `try_candidate`, so any superset of the true candidates is sound.
         let delta_ids = match class {
-            RowClass::Delta => constraint.map(|c| c.pin_ids),
+            RowClass::Delta(delta) => Some(delta.ids()),
             _ => None,
         };
         match (best, delta_ids) {
@@ -790,17 +703,37 @@ mod tests {
         assert_eq!(e.count_embeddings(&[], &Valuation::new()), 1);
     }
 
-    fn count_touching(
+    /// Pinned scans over every pin in order, with the cached touch plans:
+    /// the semi-naive enumeration of the embeddings touching `delta`.
+    fn scan_touching(
         e: &Embedder<'_>,
         source: &[Tuple],
         delta: &RowDelta,
-    ) -> usize {
+        stats: &mut ScanStats,
+        mut f: impl FnMut(&Valuation) -> ControlFlow<()>,
+    ) -> bool {
+        let seed = Valuation::new();
+        let plans = Embedder::touch_plans(source, &seed);
+        plans.iter().enumerate().any(|(pin, plan)| {
+            let scope = ScanScope::Pinned { delta, pin };
+            e.scan(source, &seed, scope, plan, stats, &mut f)
+        })
+    }
+
+    fn count_touching(e: &Embedder<'_>, source: &[Tuple], delta: &RowDelta) -> usize {
         let mut n = 0;
-        e.for_each_embedding_touching(source, &Valuation::new(), delta, |_| {
+        scan_touching(e, source, delta, &mut ScanStats::default(), |_| {
             n += 1;
             ControlFlow::Continue(())
         });
         n
+    }
+
+    /// A valuation as a sorted list of pairs, for order-free comparison.
+    fn pairs(a: &Valuation) -> Vec<(Value, Value)> {
+        let mut v: Vec<(Value, Value)> = a.iter().collect();
+        v.sort_unstable();
+        v
     }
 
     /// The delta-restricted enumeration must produce exactly the embeddings
@@ -844,8 +777,10 @@ mod tests {
         }
     }
 
-    /// The pin-level entry point, driven with cached plans in pin order,
-    /// must reproduce the one-shot touching enumeration.
+    /// Pinned scans over every pin emit exactly the full scan's embeddings
+    /// that map some pattern row onto a delta row, each once — with the
+    /// cached pin-first plans and with the full-scan plan alike, since a
+    /// plan only decides emission order and cost.
     #[test]
     fn pinned_scans_reproduce_touching_enumeration() {
         let u = Universe::untyped_abc();
@@ -863,23 +798,47 @@ mod tests {
         let pattern = vec![Tuple::new(vec![x, q1, m]), Tuple::new(vec![m, q2, q3])];
         let e = Embedder::new(&r);
         let seed = Valuation::new();
-        let plans = Embedder::touch_plans(&pattern, &seed);
         let delta = RowDelta::from_ids(vec![1, 3]);
+        let delta_rows: Vec<Tuple> = delta
+            .ids()
+            .iter()
+            .map(|&i| r.row(i as usize).to_tuple())
+            .collect();
 
-        let mut whole: Vec<Valuation> = Vec::new();
-        e.for_each_embedding_touching(&pattern, &seed, &delta, |a| {
-            whole.push(a.clone());
+        let touches = |a: &Valuation| {
+            let image = a.apply_rows(&pattern);
+            image.iter().any(|t| delta_rows.contains(t))
+        };
+        let mut expected: Vec<Vec<(Value, Value)>> = Vec::new();
+        e.for_each_embedding(&pattern, &seed, |a| {
+            if touches(a) {
+                expected.push(pairs(a));
+            }
             ControlFlow::Continue(())
         });
-        let mut pinned: Vec<Valuation> = Vec::new();
+        expected.sort();
+
         let mut stats = ScanStats::default();
-        for (pin, plan) in plans.iter().enumerate() {
-            e.for_each_embedding_touching_pin(&pattern, &seed, &delta, pin, plan, &mut stats, |a| {
-                pinned.push(a.clone());
+        let mut pinned: Vec<Vec<(Value, Value)>> = Vec::new();
+        scan_touching(&e, &pattern, &delta, &mut stats, |a| {
+            pinned.push(pairs(a));
+            ControlFlow::Continue(())
+        });
+        pinned.sort();
+        assert_eq!(pinned, expected);
+
+        let full_plan = Embedder::scan_plan(&pattern, &seed);
+        let mut replanned: Vec<Vec<(Value, Value)>> = Vec::new();
+        for pin in 0..pattern.len() {
+            let scope = ScanScope::Pinned { delta: &delta, pin };
+            e.scan(&pattern, &seed, scope, &full_plan, &mut stats, |a| {
+                replanned.push(pairs(a));
                 ControlFlow::Continue(())
             });
         }
-        assert_eq!(whole, pinned);
+        replanned.sort();
+        assert_eq!(replanned, expected);
+
         // Every emission pinned one source row onto a delta row, so the
         // build-side counter saw at least one row.
         assert!(!pinned.is_empty());
@@ -908,7 +867,7 @@ mod tests {
         let e = Embedder::new(&r);
         let delta = RowDelta::from_ids(vec![0, 1]);
         let mut calls = 0;
-        let broke = e.for_each_embedding_touching(&pattern, &Valuation::new(), &delta, |_| {
+        let broke = scan_touching(&e, &pattern, &delta, &mut ScanStats::default(), |_| {
             calls += 1;
             ControlFlow::Break(())
         });

@@ -478,9 +478,6 @@ pub struct RunningUpdate {
     /// Hash-join probe-side hits scored by chase trigger scans, summed
     /// over parts.
     pub join_probe: u64,
-    /// Worker shards spawned by parallel chase trigger scans, summed
-    /// over parts.
-    pub join_shards: u64,
     /// Goal parts this submission fans out to.
     pub parts: u64,
     /// Parts still unresolved when the frame was cut.
@@ -510,7 +507,6 @@ pub fn parse_running_text(text: &str) -> RunningUpdate {
             "attempts" => up.attempts = n,
             "jbuild" => up.join_build = n,
             "jprobe" => up.join_probe = n,
-            "jshards" => up.join_shards = n,
             "parts" => up.parts = n,
             "pending" => up.pending = n,
             _ => {}
@@ -1310,7 +1306,6 @@ fn pump_progress(pending: &mut HashMap<u64, PendingEntry>, out: &mut Vec<u8>) {
             up.attempts += p.search_attempts;
             up.join_build += p.join_build_rows;
             up.join_probe += p.join_probe_hits;
-            up.join_shards += p.parallel_shards;
             // Report the phase of a part still computing; parts that
             // finished (or never ran) don't override it.
             if p.phase != TaskPhase::Done {
@@ -1322,7 +1317,7 @@ fn pump_progress(pending: &mut HashMap<u64, PendingEntry>, out: &mut Vec<u8>) {
         }
         entry.last_fuel = up.fuel;
         let text = format!(
-            "phase={} fuel={} rounds={} steps={} merges={} rows={} attempts={} jbuild={} jprobe={} jshards={} parts={} pending={}",
+            "phase={} fuel={} rounds={} steps={} merges={} rows={} attempts={} jbuild={} jprobe={} parts={} pending={}",
             phase.as_str(),
             up.fuel,
             up.rounds,
@@ -1332,7 +1327,6 @@ fn pump_progress(pending: &mut HashMap<u64, PendingEntry>, out: &mut Vec<u8>) {
             up.attempts,
             up.join_build,
             up.join_probe,
-            up.join_shards,
             up.parts,
             up.pending,
         );
@@ -2030,14 +2024,13 @@ mod tests {
             attempts: 12,
             join_build: 81,
             join_probe: 64,
-            join_shards: 4,
             parts: 2,
             pending: 1,
         };
         let text = format!(
-            "phase={} fuel={} rounds={} steps={} merges={} rows={} attempts={} jbuild={} jprobe={} jshards={} parts={} pending={}",
+            "phase={} fuel={} rounds={} steps={} merges={} rows={} attempts={} jbuild={} jprobe={} parts={} pending={}",
             up.phase, up.fuel, up.rounds, up.steps, up.merges, up.rows, up.attempts,
-            up.join_build, up.join_probe, up.join_shards, up.parts, up.pending,
+            up.join_build, up.join_probe, up.parts, up.pending,
         );
         assert_eq!(parse_running_text(&text), up);
         // Unknown keys and junk tokens are skipped, missing keys default.

@@ -766,7 +766,6 @@ impl GroupMember {
             snap.instance_rows = state.chase.instance_rows() as u64;
             snap.join_build_rows = state.chase.join_build_rows();
             snap.join_probe_hits = state.chase.join_probe_hits();
-            snap.parallel_shards = state.chase.parallel_shards();
         }
         snap
     }
@@ -1322,11 +1321,6 @@ impl ImplicationClient {
             "typedtd_join_probe_hits",
             "Hash-join probe-side hits per settled job (chase trigger scans)",
             &t.join_probe_hits,
-        );
-        x.histogram(
-            "typedtd_parallel_shards",
-            "Parallel scan shards per settled job (0 when sequential)",
-            &t.parallel_shards,
         );
         x.finish()
     }
@@ -2423,11 +2417,8 @@ impl Core {
         self.telemetry
             .record_queue_wait(total.saturating_sub(slot.run_nanos));
         self.telemetry.record_fuel(slot.fuel_spent);
-        self.telemetry.record_join(
-            slot.progress.join_build_rows,
-            slot.progress.join_probe_hits,
-            slot.progress.parallel_shards,
-        );
+        self.telemetry
+            .record_join(slot.progress.join_build_rows, slot.progress.join_probe_hits);
     }
 
     /// Records the landing of a coalesced waiter: it spends no fuel and

@@ -205,7 +205,6 @@ pub struct Telemetry {
     fuel_per_job: Histogram,
     join_build_rows: Histogram,
     join_probe_hits: Histogram,
-    parallel_shards: Histogram,
 }
 
 impl Telemetry {
@@ -220,7 +219,6 @@ impl Telemetry {
             fuel_per_job: Histogram::new(),
             join_build_rows: Histogram::new(),
             join_probe_hits: Histogram::new(),
-            parallel_shards: Histogram::new(),
         }
     }
 
@@ -257,13 +255,12 @@ impl Telemetry {
         }
     }
 
-    /// Join-phase profile of one landed scheduled job: hash-join build
-    /// rows, probe hits, and parallel scan shards its chase spent.
-    pub fn record_join(&self, build_rows: u64, probe_hits: u64, shards: u64) {
+    /// Join-phase profile of one landed scheduled job: the hash-join
+    /// build rows and probe hits its chase spent.
+    pub fn record_join(&self, build_rows: u64, probe_hits: u64) {
         if self.enabled {
             self.join_build_rows.record(build_rows);
             self.join_probe_hits.record(probe_hits);
-            self.parallel_shards.record(shards);
         }
     }
 
@@ -276,7 +273,6 @@ impl Telemetry {
             fuel_per_job: self.fuel_per_job.snapshot(),
             join_build_rows: self.join_build_rows.snapshot(),
             join_probe_hits: self.join_probe_hits.snapshot(),
-            parallel_shards: self.parallel_shards.snapshot(),
         }
     }
 }
@@ -298,8 +294,6 @@ pub struct TelemetrySnapshot {
     pub join_build_rows: HistogramSnapshot,
     /// Hash-join probe-side hits per scheduled job (chase trigger scans).
     pub join_probe_hits: HistogramSnapshot,
-    /// Parallel scan shards per scheduled job (0 in sequential mode).
-    pub parallel_shards: HistogramSnapshot,
 }
 
 impl TelemetrySnapshot {
@@ -323,7 +317,6 @@ impl TelemetrySnapshot {
         self.fuel_per_job.merge(&other.fuel_per_job);
         self.join_build_rows.merge(&other.join_build_rows);
         self.join_probe_hits.merge(&other.join_probe_hits);
-        self.parallel_shards.merge(&other.parallel_shards);
     }
 
     /// Iterates `(outcome, histogram)` over the latency families.
@@ -353,7 +346,6 @@ impl TelemetrySnapshot {
         fam("fuel_per_job", &self.fuel_per_job);
         fam("join_build_rows", &self.join_build_rows);
         fam("join_probe_hits", &self.join_probe_hits);
-        fam("parallel_shards", &self.parallel_shards);
         out
     }
 }

@@ -1,5 +1,5 @@
-//! The three chase variants and the parallel trigger scan must agree on
-//! decidable instances, and found counterexamples must always verify.
+//! The three chase variants must agree on decidable instances, and found
+//! counterexamples must always verify.
 //!
 //! The decide layer rides the same engines: `DecideMode::Dovetail` must
 //! answer exactly what `DecideMode::Sequential` answers across every
@@ -27,18 +27,15 @@ fn run_variant(
     goal: &TdOrEgd,
     pool: &mut ValuePool,
     variant: ChaseVariant,
-    parallel: bool,
 ) -> ChaseOutcome {
-    let cfg = ChaseConfig::default()
-        .with_variant(variant)
-        .with_parallel(parallel);
+    let cfg = ChaseConfig::default().with_variant(variant);
     chase_implication(sigma, goal, pool, &cfg).outcome
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Standard, core, and parallel-standard chase agree on mvd instances
+    /// Standard and core chase agree on mvd instances
     /// (total tds: guaranteed termination). The oblivious chase agrees on
     /// the Implied verdict whenever the others imply.
     #[test]
@@ -61,13 +58,11 @@ proptest! {
         let goal_mvd = Mvd::new(u.clone(), mask_to_set(&u, goal_lhs), mask_to_set(&u, goal_rhs));
         let goal = TdOrEgd::Td(goal_mvd.to_pjd().to_td(&u, &mut pool));
 
-        let standard = run_variant(&sigma, &goal, &mut pool, ChaseVariant::Standard, false);
-        let core = run_variant(&sigma, &goal, &mut pool, ChaseVariant::Core, false);
-        let par = run_variant(&sigma, &goal, &mut pool, ChaseVariant::Standard, true);
+        let standard = run_variant(&sigma, &goal, &mut pool, ChaseVariant::Standard);
+        let core = run_variant(&sigma, &goal, &mut pool, ChaseVariant::Core);
         prop_assert_eq!(standard, core);
-        prop_assert_eq!(standard, par);
         if standard == ChaseOutcome::Implied {
-            let obl = run_variant(&sigma, &goal, &mut pool, ChaseVariant::Oblivious, false);
+            let obl = run_variant(&sigma, &goal, &mut pool, ChaseVariant::Oblivious);
             prop_assert_eq!(obl, ChaseOutcome::Implied);
         }
     }
@@ -129,13 +124,11 @@ fn decide_dovetailed(
 /// separate: it diverges by design on instances the others decide, so it
 /// gets the Implied-subset treatment (as in
 /// `variants_agree_on_mvd_instances`).
-const ENGINE_COMBOS: [(ChaseVariant, bool, bool); 6] = [
-    (ChaseVariant::Standard, true, false),
-    (ChaseVariant::Standard, false, false),
-    (ChaseVariant::Standard, true, true),
-    (ChaseVariant::Core, true, false),
-    (ChaseVariant::Core, false, false),
-    (ChaseVariant::Core, true, true),
+const ENGINE_COMBOS: [(ChaseVariant, bool); 4] = [
+    (ChaseVariant::Standard, true),
+    (ChaseVariant::Standard, false),
+    (ChaseVariant::Core, true),
+    (ChaseVariant::Core, false),
 ];
 
 proptest! {
@@ -143,7 +136,7 @@ proptest! {
 
     /// `DecideMode::Dovetail` answers exactly what sequential `decide`
     /// answers on the typed mvd corpus, under every engine variant
-    /// (standard/core × naive/semi-naive × parallel scan) and two
+    /// (standard/core × naive/semi-naive) and two
     /// dovetail ratios. PR 4 proved this only through the service layer
     /// (`tests/service.rs`); this is the direct task-level backfill.
     #[test]
@@ -166,11 +159,10 @@ proptest! {
         let goal_mvd = Mvd::new(u.clone(), mask_to_set(&u, goal_lhs), mask_to_set(&u, goal_rhs));
         let goal = TdOrEgd::Td(goal_mvd.to_pjd().to_td(&u, &mut pool));
 
-        for (variant, semi, parallel) in ENGINE_COMBOS {
+        for (variant, semi) in ENGINE_COMBOS {
             let chase = ChaseConfig::default()
                 .with_variant(variant)
-                .with_semi_naive(semi)
-                .with_parallel(parallel);
+                .with_semi_naive(semi);
             let seq_cfg = DecideConfig {
                 chase: chase.clone(),
                 ..DecideConfig::default()
@@ -183,8 +175,8 @@ proptest! {
                     decide_dovetailed(&sigma, &goal, &pool, chase.clone(), ratio);
                 prop_assert_eq!(
                     imp, seq.implication,
-                    "dovetail {}:1 diverged under {:?} semi={} par={}",
-                    ratio, variant, semi, parallel
+                    "dovetail {}:1 diverged under {:?} semi={}",
+                    ratio, variant, semi
                 );
                 prop_assert_eq!(fin, seq.finite_implication);
             }
@@ -225,11 +217,10 @@ fn dovetail_matches_sequential_on_untyped_divergent_refutable() {
     );
     let sigma = vec![TdOrEgd::Td(successor)];
     let goal = TdOrEgd::Egd(fd_egd);
-    for (variant, semi, parallel) in ENGINE_COMBOS {
+    for (variant, semi) in ENGINE_COMBOS {
         let chase = ChaseConfig::quick()
             .with_variant(variant)
-            .with_semi_naive(semi)
-            .with_parallel(parallel);
+            .with_semi_naive(semi);
         let seq_cfg = DecideConfig {
             chase: chase.clone(),
             ..DecideConfig::default()
@@ -244,7 +235,7 @@ fn dovetail_matches_sequential_on_untyped_divergent_refutable() {
             let (imp, fin) = decide_dovetailed(&sigma, &goal, &pool, chase.clone(), ratio);
             assert_eq!(
                 imp, seq.implication,
-                "dovetail {ratio}:1 diverged under {variant:?} semi={semi} par={parallel}"
+                "dovetail {ratio}:1 diverged under {variant:?} semi={semi}"
             );
             assert_eq!(fin, seq.finite_implication);
         }
