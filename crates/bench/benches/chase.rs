@@ -1,13 +1,11 @@
-//! Chase engine scaling and the variant ablation
-//! (standard vs oblivious vs core), plus the
-//! semi-naive vs naive saturation comparison that motivates the
-//! delta-driven engine.
+//! Chase engine scaling on mvd chains, plus the semi-naive vs naive
+//! saturation comparison that motivates the delta-driven engine.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use typedtd_bench::{
     divergent_saturation_workload, mvd_chain_instance, saturation_workload, universe,
 };
-use typedtd_chase::{chase_implication, saturate, ChaseConfig, ChaseVariant};
+use typedtd_chase::{chase_implication, saturate, ChaseConfig};
 use typedtd_relational::ValuePool;
 
 fn bench_chain_length(c: &mut Criterion) {
@@ -23,33 +21,6 @@ fn bench_chain_length(c: &mut Criterion) {
                 },
                 |(sigma, goal, mut pool)| {
                     chase_implication(&sigma, &goal, &mut pool, &ChaseConfig::default())
-                },
-                criterion::BatchSize::SmallInput,
-            )
-        });
-    }
-    group.finish();
-}
-
-fn bench_variants(c: &mut Criterion) {
-    let mut group = c.benchmark_group("chase/variant");
-    let variants = [
-        ("standard", ChaseVariant::Standard),
-        ("core", ChaseVariant::Core),
-        ("oblivious", ChaseVariant::Oblivious),
-    ];
-    for (name, variant) in variants {
-        group.bench_function(name, |b| {
-            b.iter_batched(
-                || {
-                    let u = universe(4);
-                    let mut pool = ValuePool::new(u.clone());
-                    let (sigma, goal) = mvd_chain_instance(&u, &mut pool, 3);
-                    (sigma, goal, pool)
-                },
-                |(sigma, goal, mut pool)| {
-                    let cfg = ChaseConfig::default().with_variant(variant);
-                    chase_implication(&sigma, &goal, &mut pool, &cfg)
                 },
                 criterion::BatchSize::SmallInput,
             )
@@ -118,7 +89,6 @@ fn bench_divergent_saturation(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_chain_length, bench_variants, bench_seminaive_saturation,
-        bench_divergent_saturation
+    targets = bench_chain_length, bench_seminaive_saturation, bench_divergent_saturation
 }
 criterion_main!(benches);

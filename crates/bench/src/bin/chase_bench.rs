@@ -19,7 +19,7 @@
 //! client submits* vs *one pipelined `typedtd-proto` socket client* vs
 //! *N concurrent socket clients* over a live Unix-socket `ProtoServer` —
 //! measuring the wire round-trip overhead; answer parity with sequential
-//! `decide` is asserted for every variant, and in full mode the
+//! `decide` is asserted for every variant, and in full mode the paired
 //! single-client wire overhead is asserted ≤ 2× direct submits.
 //!
 //! Prints a table by default; with `--json` additionally writes
@@ -107,6 +107,57 @@ fn time<I, R>(
     (Variant::new(name, times), last.expect("samples >= 1"))
 }
 
+/// Times `samples` rounds of `modes` modes, interleaved: every round runs
+/// each mode once, and the in-round order rotates by one per round. Slow
+/// drift (thermal, frequency, scheduler) then lands on every mode
+/// equally, and no mode is systematically measured right after an
+/// expensive one heats the core. `run(mode, round)` does its own untimed
+/// setup and returns the timed duration and a result. Returns each mode's
+/// times in round order (round `s` of two modes is a pair) and each
+/// mode's last result.
+fn time_interleaved<R>(
+    modes: usize,
+    samples: usize,
+    mut run: impl FnMut(usize, usize) -> (Duration, R),
+) -> (Vec<Vec<Duration>>, Vec<R>) {
+    let mut times = vec![Vec::with_capacity(samples); modes];
+    let mut last: Vec<Option<R>> = (0..modes).map(|_| None).collect();
+    for s in 0..samples {
+        for k in 0..modes {
+            let m = (s + k) % modes;
+            let (t, r) = run(m, s);
+            times[m].push(t);
+            last[m] = Some(r);
+        }
+    }
+    let last = last.into_iter().map(|r| r.expect("samples >= 1"));
+    (times, last.collect())
+}
+
+/// The statistic a paired floor tests: the median of the per-round
+/// ratios `slow[s] / base[s]` over every `(slow, base)` series pair, and
+/// its recorded spread, the half-width of the median's distribution-free
+/// 95% confidence interval (the order statistics `n/2 ± 0.98·√n`). A
+/// floor `ratio <= limit` fails only when the median exceeds `limit` by
+/// more than the spread: noise widens the interval instead of tripping
+/// the floor, and more pairs narrow it, so a regression of the floor's
+/// own size still fails.
+fn paired_ratio(pairs: &[(&[Duration], &[Duration])]) -> (f64, f64) {
+    let mut ratios: Vec<f64> = pairs
+        .iter()
+        .flat_map(|(slow, base)| {
+            slow.iter()
+                .zip(base.iter())
+                .map(|(a, b)| a.as_secs_f64() / b.as_secs_f64())
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let (n, mid) = (ratios.len(), ratios.len() / 2);
+    let h = (0.98 * (n as f64).sqrt()).ceil() as usize;
+    let (lo, hi) = (ratios[mid.saturating_sub(h)], ratios[(mid + h).min(n - 1)]);
+    (ratios[mid], (hi - lo) / 2.0)
+}
+
 type Workload = (Relation, Vec<TdOrEgd>, ValuePool);
 
 /// Measures one saturation workload under the naive and semi-naive
@@ -124,23 +175,13 @@ fn measure_saturation(
         ("naive", ChaseConfig::default().with_semi_naive(false)),
         ("semi", ChaseConfig::default()),
     ];
-    // Samples interleave the modes instead of timing each mode's block
-    // back to back, and the in-iteration order rotates: slow drift
-    // (thermal, frequency, scheduler) then lands on every mode equally,
-    // and no mode is systematically measured right after the expensive
-    // naive run heats the core.
-    let mut times: [Vec<Duration>; 2] = [Vec::new(), Vec::new()];
-    let mut runs: [Option<ChaseRun>; 2] = [None, None];
-    for s in 0..samples {
-        for k in 0..modes.len() {
-            let m = (s + k) % modes.len();
-            let (init, sigma, mut pool) = make();
-            let t0 = Instant::now();
-            runs[m] = Some(saturate(&init, &sigma, &mut pool, &modes[m].1));
-            times[m].push(t0.elapsed());
-        }
-    }
-    let [run_n, run_s] = runs.map(|r| r.expect("samples >= 1"));
+    let (times, runs) = time_interleaved(modes.len(), samples, |m, _| {
+        let (init, sigma, mut pool) = make();
+        let t0 = Instant::now();
+        let run = saturate(&init, &sigma, &mut pool, &modes[m].1);
+        (t0.elapsed(), run)
+    });
+    let [run_n, run_s]: [ChaseRun; 2] = runs.try_into().expect("two modes");
     assert_eq!(run_n.outcome, run_s.outcome, "semi parity violated");
     assert_eq!(run_n.rounds, run_s.rounds, "semi parity violated");
     assert_eq!(
@@ -148,7 +189,7 @@ fn measure_saturation(
         run_s.final_relation.len(),
         "semi parity violated"
     );
-    let [tn, ts] = times;
+    let [tn, ts]: [Vec<Duration>; 2] = times.try_into().expect("two modes");
     Record {
         workload,
         variants: vec![Variant::new(modes[0].0, tn), Variant::new(modes[1].0, ts)],
@@ -715,12 +756,13 @@ fn run_telemetry_mix(
 
 /// Telemetry overhead: the identical divergent-mix workload with
 /// `ServiceConfig::metrics` on / off / on again (columns in that
-/// order). Answers must agree exactly across all three runs, and when
-/// `assert_overhead` is set (the full suite; smoke samples are too
-/// noisy) the faster metrics-on median must stay within 5% of the
-/// metrics-off median — the histogram record path is three relaxed
-/// `fetch_add`s plus two `Instant` reads per landing, and this is the
-/// regression net that keeps it that way.
+/// order), interleaved round by round. Answers must agree exactly across
+/// all three modes, and when `assert_overhead` is set (the full suite;
+/// smoke samples are too few) the paired metrics-on / metrics-off ratio
+/// must stay within 5% plus its spread ([`paired_ratio`]) — the
+/// histogram record path is three relaxed `fetch_add`s plus two
+/// `Instant` reads per landing, and this is the regression net that
+/// keeps it that way.
 fn measure_telemetry_overhead(
     distinct: usize,
     renamings: usize,
@@ -728,38 +770,46 @@ fn measure_telemetry_overhead(
     samples: usize,
     assert_overhead: bool,
 ) -> Record {
-    let make = || {
+    let modes = [
+        ("metrics_on", true),
+        ("metrics_off", false),
+        ("metrics_on_again", true),
+    ];
+    let (times, answers) = time_interleaved(modes.len(), samples, |m, _| {
         let fg = service_batch_workload(distinct, renamings, 4242);
         let dv: Vec<Query> = (0..divergent).map(divergent_service_query).collect();
-        (fg, dv)
-    };
-    let (on, (on_fg, on_div)) = time("metrics_on", samples, &make, |(fg, dv)| {
-        run_telemetry_mix(fg, dv, true)
+        let t0 = Instant::now();
+        let answers = run_telemetry_mix(fg, dv, modes[m].1);
+        (t0.elapsed(), answers)
     });
-    let (off, (off_fg, off_div)) = time("metrics_off", samples, &make, |(fg, dv)| {
-        run_telemetry_mix(fg, dv, false)
-    });
-    let (on2, (on2_fg, on2_div)) = time("metrics_on_again", samples, &make, |(fg, dv)| {
-        run_telemetry_mix(fg, dv, true)
-    });
-    let (on_ns, off_ns, on2_ns) = (on.median_ns, off.median_ns, on2.median_ns);
+    let [(on_fg, on_div), (off_fg, off_div), (on2_fg, on2_div)]: [(Vec<Answer>, Vec<Answer>); 3] =
+        answers.try_into().expect("three modes");
     assert_eq!(on_fg, off_fg, "telemetry must not change foreground answers");
     assert_eq!(on_div, off_div, "telemetry must not change divergent answers");
     assert_eq!(on_fg, on2_fg, "metrics-on reruns must agree");
     assert_eq!(on_div, on2_div, "metrics-on reruns must agree");
+    let [on, off, on2]: [Vec<Duration>; 3] = times.try_into().expect("three modes");
+    let (ratio, spread) = paired_ratio(&[(&on, &off), (&on2, &off)]);
     if assert_overhead {
-        let best_on = on_ns.min(on2_ns);
         assert!(
-            best_on <= off_ns + off_ns / 20,
-            "telemetry overhead above 5%: on={on_ns}ns on2={on2_ns}ns off={off_ns}ns"
+            ratio <= 1.05 + spread,
+            "telemetry overhead above 5%: paired on/off ratio {ratio:.3} \
+             (spread {spread:.3}) over {} pairs",
+            2 * samples
         );
     }
     Record {
         workload: format!("service_telemetry_overhead/d{distinct}xr{renamings}+dv{divergent}"),
-        variants: vec![on, off, on2],
+        variants: modes
+            .iter()
+            .zip([on, off, on2])
+            .map(|((name, _), t)| Variant::new(name, t))
+            .collect(),
         counters: vec![
             ("jobs", on_fg.len() + on_div.len()),
             ("divergent_jobs", divergent),
+            ("paired_ratio_x1000", (ratio * 1000.0).round() as usize),
+            ("paired_spread_x1000", (spread * 1000.0).round() as usize),
         ],
     }
 }
@@ -956,9 +1006,10 @@ fn run_socket_stream(
 
 /// The streaming-front-end scenario: the same cache-friendly batch
 /// decided via direct in-process submits, one socket client, and
-/// `clients` concurrent socket clients. Server spawn/connect setup runs
-/// outside the timed region; with `assert_overhead` the single-client
-/// wire round trip must stay within 2× of direct submits.
+/// `clients` concurrent socket clients, interleaved round by round.
+/// Server spawn/connect setup runs outside the timed region; with
+/// `assert_overhead` the paired single-client / direct ratio must stay
+/// within 2× plus its spread ([`paired_ratio`]).
 fn measure_socket_stream(
     distinct: usize,
     repeats: usize,
@@ -991,71 +1042,61 @@ fn measure_socket_stream(
             .collect()
     };
 
-    let mut direct_times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        let answers = run_direct_batch(&corpus);
-        direct_times.push(t0.elapsed());
-        assert_eq!(answers, reference, "direct-batch parity violated");
-    }
     let sock_cfg = || typedtd_service::SockdConfig {
         service: ServiceConfig::default(),
         drivers: 1,
         ..Default::default()
     };
-    let sock_path = |tag: &str, i: usize| {
-        std::env::temp_dir().join(format!(
-            "typedtd-bench-{tag}-{}-{i}.sock",
+    // Columns: direct in-process submits, one socket client, `clients`
+    // socket clients; server spawn and connect stay outside the timer.
+    let names = ["direct_submit", "socket_1_client", "socket_n_clients"];
+    let (times, results) = time_interleaved(names.len(), samples, |m, round| {
+        if m == 0 {
+            let t0 = Instant::now();
+            let answers = run_direct_batch(&corpus);
+            let elapsed = t0.elapsed();
+            assert_eq!(answers, reference, "direct-batch parity violated");
+            return (elapsed, 0);
+        }
+        let path = std::env::temp_dir().join(format!(
+            "typedtd-bench-{}-{}-{round}.sock",
+            names[m],
             std::process::id()
-        ))
-    };
-    let connect = |server: &typedtd_service::ProtoServer, n: usize| {
-        let path = server.unix_path().expect("unix listener");
-        (0..n)
-            .map(|_| typedtd_service::ProtoClient::connect_unix(path).expect("connect unix"))
-            .collect::<Vec<_>>()
-    };
-    let mut single_times = Vec::with_capacity(samples);
-    let mut cached_single = 0usize;
-    for i in 0..samples {
-        let path = sock_path("single", i);
+        ));
         let server = typedtd_service::ProtoServer::bind(sock_cfg(), None, Some(&path))
             .expect("bind unix server");
-        let conns = connect(&server, 1);
+        let unix = server.unix_path().expect("unix listener");
+        let n = if m == 1 { 1 } else { clients };
+        let conns = (0..n)
+            .map(|_| typedtd_service::ProtoClient::connect_unix(unix).expect("connect unix"))
+            .collect::<Vec<_>>();
         let t0 = Instant::now();
         let (answers, cached) = run_socket_stream(conns, &corpus);
-        single_times.push(t0.elapsed());
-        assert_eq!(answers, reference, "single-client wire parity violated");
-        cached_single = cached;
-        drop(server);
-    }
-    let mut multi_times = Vec::with_capacity(samples);
-    for i in 0..samples {
-        let path = sock_path("multi", i);
-        let server = typedtd_service::ProtoServer::bind(sock_cfg(), None, Some(&path))
-            .expect("bind unix server");
-        let conns = connect(&server, clients);
-        let t0 = Instant::now();
-        let (answers, _) = run_socket_stream(conns, &corpus);
-        multi_times.push(t0.elapsed());
-        assert_eq!(answers, reference, "multi-client wire parity violated");
-        drop(server);
-    }
-    let direct = Variant::new("direct_submit", direct_times);
-    let single = Variant::new("socket_1_client", single_times);
-    let multi = Variant::new("socket_n_clients", multi_times);
-    let (direct_ns, socket_ns) = (direct.median_ns, single.median_ns);
+        let elapsed = t0.elapsed();
+        assert_eq!(answers, reference, "{} wire parity violated", names[m]);
+        (elapsed, cached)
+    });
+    let (ratio, spread) = paired_ratio(&[(&times[1], &times[0])]);
     if assert_overhead {
         assert!(
-            socket_ns as f64 <= 2.0 * direct_ns as f64,
-            "wire overhead must stay within 2x of direct submits \
-             (socket {socket_ns}ns vs direct {direct_ns}ns)"
+            ratio <= 2.0 + spread,
+            "wire overhead must stay within 2x of direct submits: paired \
+             socket/direct ratio {ratio:.3} (spread {spread:.3}) over {samples} pairs"
         );
     }
     Record {
         workload: format!("service_socket_stream/d{distinct}xr{repeats}+{clients}c"),
-        variants: vec![direct, single, multi],
-        counters: vec![("queries", corpus.len()), ("wire_cached", cached_single)],
+        variants: names
+            .iter()
+            .zip(times)
+            .map(|(n, t)| Variant::new(n, t))
+            .collect(),
+        counters: vec![
+            ("queries", corpus.len()),
+            ("wire_cached", results[1]),
+            ("paired_ratio_x1000", (ratio * 1000.0).round() as usize),
+            ("paired_spread_x1000", (spread * 1000.0).round() as usize),
+        ],
     }
 }
 
@@ -1283,9 +1324,11 @@ fn main() {
             measure_divergent_mix(3, 4, 6, 3),
             measure_service_mixed_class(3),
             measure_service_shared_sigma(6, 6, 32, 3, true),
-            measure_telemetry_overhead(3, 4, 6, 3, true),
+            // The two paired floors take many short rounds: more pairs
+            // narrow the confidence interval the floors forgive.
+            measure_telemetry_overhead(3, 4, 6, 31, true),
             measure_skewed_steal(24, 4, 3, true),
-            measure_socket_stream(5, 10, 4, 3, true),
+            measure_socket_stream(5, 10, 4, 15, true),
             measure_service_warm_restart(6, 4, 3),
         ]
     };

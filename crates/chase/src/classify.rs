@@ -133,8 +133,7 @@ pub fn classify(sigma: &[TdOrEgd]) -> FragmentReport {
 }
 
 /// A chase budget that will never expire before a terminating chase
-/// reaches its verdict, keeping `base`'s strategy knobs (variant,
-/// semi-naive).
+/// reaches its verdict, keeping `base`'s semi-naive switch.
 pub fn terminating_chase_config(base: &ChaseConfig) -> ChaseConfig {
     ChaseConfig {
         max_rounds: usize::MAX,
@@ -234,12 +233,15 @@ mod tests {
 
     #[test]
     fn terminating_route_rewrites_config_others_do_not() {
-        let base = DecideConfig::default();
+        let base = DecideConfig {
+            chase: ChaseConfig::default().with_semi_naive(false),
+            ..DecideConfig::default()
+        };
         let routed = routed_decide_config(&base, RouteClass::Terminating);
         assert_eq!(routed.mode, DecideMode::Sequential);
         assert!(routed.skip_search);
         assert_eq!(routed.chase.max_rounds, usize::MAX);
-        assert_eq!(routed.chase.variant, base.chase.variant);
+        assert_eq!(routed.chase.semi_naive, base.chase.semi_naive);
         for r in [RouteClass::Linear, RouteClass::Guarded, RouteClass::Dovetail] {
             let same = routed_decide_config(&base, r);
             assert_eq!(same.chase.max_rounds, base.chase.max_rounds);

@@ -29,8 +29,7 @@
 //!   drained from the log in time proportional to the delta — via one
 //!   [`Embedder::scan`] per hypothesis row ([`ScanScope::Pinned`]), which
 //!   pins that row to the delta and hash-joins the rest against the whole
-//!   instance. Deltas are cached per distinct frontier for the pass
-//!   ([`FrontierDeltas`]).
+//!   instance. Deltas are cached per distinct frontier for the pass.
 //!
 //! Scans run on the calling thread. Parallelism lives one level up: the
 //! service steps independent jobs on separate workers.
@@ -39,11 +38,10 @@
 //! an embedding whose rows are all old and unchanged was already enumerated
 //! when those rows were last in a delta, and was then either fired (its
 //! conclusion row persists, modulo canonicalization) or verified satisfied
-//! (satisfaction persists: rows are never deleted, only canonically
-//! rewritten, and homomorphisms compose with the canonicalization map). The
-//! only operation that breaks per-row tracking — the core chase's
-//! retraction, which may remove rows and remap values wholesale — stamps
-//! every surviving row dirty, forcing a full rescan.
+//! (satisfaction persists: rows are never deleted, only rewritten by
+//! merges, and homomorphisms compose with the canonicalization map). The
+//! instance changes only by traced `AddRow` and `Merge` steps, so per-row
+//! tracking never needs a full rescan.
 //!
 //! The naive full-rescan behaviour is preserved behind
 //! [`ChaseConfig::semi_naive`]` = false` as a differential-testing
@@ -61,36 +59,19 @@
 //! bounds the damage to one fuel slice). The blocking entry points
 //! [`chase_implication`] and [`saturate`] are thin drivers that create a
 //! task and run it to completion.
-//!
-//! Three variants are provided for the ablation benches: the standard
-//! (restricted) chase, the oblivious chase (fires every trigger once,
-//! satisfied or not), and the core chase (retracts the instance to its core
-//! each round; terminates whenever any chase sequence does).
 
 use crate::cancel::CancelToken;
-use crate::core_retract::core_retract;
 use crate::instance::ChaseInstance;
 use crate::trace::{ChaseStep, ChaseTrace, StepKind};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use typedtd_dependencies::TdOrEgd;
 use typedtd_relational::{
-    satisfies_row, Embedder, FxHashMap, FxHashSet, Relation, RowDelta, ScanScope, ScanStats, Tuple,
-    Universe, Valuation, Value, ValuePool,
+    satisfies_row, Embedder, FxHashMap, Relation, RowDelta, ScanScope, ScanStats, Tuple, Universe,
+    Valuation, Value, ValuePool,
 };
 
-/// Which chase strategy to run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ChaseVariant {
-    /// Restricted chase: fire only triggers whose conclusion is absent.
-    Standard,
-    /// Oblivious chase: fire every trigger exactly once.
-    Oblivious,
-    /// Standard chase plus a core retraction after every round.
-    Core,
-}
-
-/// Budget and strategy knobs.
+/// Budgets for the restricted chase, plus the naive-reference switch.
 #[derive(Clone, Debug)]
 pub struct ChaseConfig {
     /// Maximum breadth-first rounds before giving up.
@@ -99,8 +80,6 @@ pub struct ChaseConfig {
     pub max_rows: usize,
     /// Maximum applied steps (row adds + merges) before giving up.
     pub max_steps: usize,
-    /// Strategy.
-    pub variant: ChaseVariant,
     /// Delta-driven (semi-naive) trigger discovery. `false` restores the
     /// naive full-rescan reference; outcomes are identical either way.
     pub semi_naive: bool,
@@ -112,7 +91,6 @@ impl Default for ChaseConfig {
             max_rounds: 256,
             max_rows: 4_096,
             max_steps: 32_768,
-            variant: ChaseVariant::Standard,
             semi_naive: true,
         }
     }
@@ -127,12 +105,6 @@ impl ChaseConfig {
             max_steps: 2_048,
             ..Self::default()
         }
-    }
-
-    /// Selects a chase variant.
-    pub fn with_variant(mut self, v: ChaseVariant) -> Self {
-        self.variant = v;
-        self
     }
 
     /// Toggles semi-naive (delta-driven) trigger discovery.
@@ -335,12 +307,6 @@ pub struct ChaseTask {
     goal: Option<Goal>,
     trace: ChaseTrace,
     steps: usize,
-    /// Oblivious-chase memory of fired triggers, per dependency. Keys are
-    /// the dependency's sorted hypothesis values under the trigger's
-    /// valuation; per-dep sets allow allocation-free slice lookups.
-    fired: Vec<FxHashSet<Vec<Value>>>,
-    /// Per-dependency sorted hypothesis value lists (trigger keys).
-    hyp_vals: Vec<Vec<Value>>,
     /// Per-dependency flag: `true` for a td whose conclusion values all
     /// occur in its hypothesis (a *total* td — no existentials). A trigger
     /// valuation then binds the whole conclusion, so satisfaction collapses
@@ -350,7 +316,7 @@ pub struct ChaseTask {
     /// Per-dependency instance version up to which the dependency has been
     /// fully verified (the semi-naive frontier).
     seen: Vec<u64>,
-    /// Scratch buffer for oblivious trigger keys.
+    /// Scratch buffer for total-conclusion membership probes.
     key_buf: Vec<Value>,
     rounds: usize,
     /// Equality merges applied so far (the egd half of `steps`); kept as
@@ -420,35 +386,10 @@ impl ChaseTask {
         cfg: ChaseConfig,
     ) -> Self {
         let sigma = sigma.into();
-        let hyp_vals: Vec<Vec<Value>> = sigma
-            .iter()
-            .map(|d| {
-                let mut vals: Vec<Value> = match d {
-                    TdOrEgd::Td(t) => t.hypothesis_values().into_iter().collect(),
-                    TdOrEgd::Egd(e) => {
-                        let mut s = FxHashSet::default();
-                        for t in e.hypothesis() {
-                            s.extend(t.val());
-                        }
-                        s.into_iter().collect()
-                    }
-                };
-                vals.sort_unstable();
-                vals
-            })
-            .collect();
         let total_concl: Vec<bool> = sigma
             .iter()
-            .zip(&hyp_vals)
-            .map(|(d, hv)| match d {
-                TdOrEgd::Td(t) => t
-                    .conclusion()
-                    .val()
-                    .all(|v| hv.binary_search(&v).is_ok()),
-                TdOrEgd::Egd(_) => false,
-            })
+            .map(|d| matches!(d, TdOrEgd::Td(t) if t.is_total()))
             .collect();
-        let fired = vec![FxHashSet::default(); sigma.len()];
         let seen = vec![0; sigma.len()];
         // Placement plans depend only on the hypothesis shape (which values
         // repeat across rows), not on the instance: compute them once here
@@ -471,8 +412,6 @@ impl ChaseTask {
             goal,
             trace: ChaseTrace::default(),
             steps: 0,
-            fired,
-            hyp_vals,
             total_concl,
             seen,
             key_buf: Vec::new(),
@@ -626,7 +565,7 @@ impl ChaseTask {
     }
 
     /// One breadth-first round: egd saturation, goal check, trigger
-    /// collection, application, optional core retraction.
+    /// collection, application.
     fn round(&mut self) {
         if let ControlFlow::Break(o) = self.egd_saturate() {
             self.done = Some(o);
@@ -653,9 +592,6 @@ impl ChaseTask {
         if let ControlFlow::Break(o) = self.apply_td_triggers(triggers) {
             self.done = Some(o);
             return;
-        }
-        if self.cfg.variant == ChaseVariant::Core {
-            self.retract_to_core();
         }
         self.rounds += 1;
     }
@@ -736,16 +672,14 @@ impl ChaseTask {
         }
     }
 
-    /// Enumerates td triggers against the current (immutable this round)
-    /// instance. For the standard and core variants only *unsatisfied*
-    /// triggers count; the oblivious variant takes every not-yet-fired one.
+    /// Enumerates the *unsatisfied* td triggers of the current (immutable
+    /// this round) instance.
     ///
     /// Semi-naive: each td only enumerates embeddings touching its delta,
     /// one pinned scan per hypothesis row; its `seen` frontier then
     /// advances to the scanned version. Triggers come out in td, pin, and
     /// delta order, so the applied trace is deterministic.
     fn collect_td_triggers(&mut self) -> Vec<(usize, Valuation)> {
-        let oblivious = self.cfg.variant == ChaseVariant::Oblivious;
         let scanned_at = self.inst.version();
         let mut deltas = FrontierDeltas::default();
         let emb = Embedder::new(self.inst.relation());
@@ -757,15 +691,7 @@ impl ChaseTask {
             let hyp = td.hypothesis();
             let key_buf = &mut self.key_buf;
             let mut visit = |alpha: &Valuation| {
-                let is_trigger = if oblivious {
-                    key_buf.clear();
-                    key_buf.extend(
-                        self.hyp_vals[di]
-                            .iter()
-                            .map(|&v| alpha.get(v).expect("hypothesis value bound")),
-                    );
-                    !self.fired[di].contains(key_buf.as_slice())
-                } else if self.total_concl[di] {
+                let is_trigger = if self.total_concl[di] {
                     // Total conclusion: satisfaction is literal membership
                     // of the (fully bound) conclusion row — one hash probe.
                     key_buf.clear();
@@ -806,7 +732,6 @@ impl ChaseTask {
         &mut self,
         triggers: Vec<(usize, Valuation)>,
     ) -> ControlFlow<ChaseOutcome> {
-        let oblivious = self.cfg.variant == ChaseVariant::Oblivious;
         // Trail buffer for the per-trigger satisfaction probes; lent to
         // `satisfies_row` so the hot loop allocates nothing per trigger.
         let mut scratch = Vec::new();
@@ -826,18 +751,7 @@ impl ChaseTask {
             } else {
                 alpha
             };
-            if oblivious {
-                self.key_buf.clear();
-                self.key_buf.extend(
-                    self.hyp_vals[di]
-                        .iter()
-                        .map(|&v| resolved.get(v).expect("hypothesis value bound")),
-                );
-                if self.fired[di].contains(self.key_buf.as_slice()) {
-                    continue;
-                }
-                self.fired[di].insert(self.key_buf.clone());
-            } else if self.total_concl[di] {
+            if self.total_concl[di] {
                 self.key_buf.clear();
                 self.key_buf.extend(
                     td.conclusion()
@@ -879,20 +793,5 @@ impl ChaseTask {
             }
         }
         ControlFlow::Continue(())
-    }
-
-    /// Core-chase retraction: shrink the instance to its core, keeping the
-    /// frozen values fixed. Marks every row dirty (full rescan next round).
-    fn retract_to_core(&mut self) {
-        let frozen: FxHashSet<Value> = self
-            .inst
-            .frozen()
-            .iter()
-            .map(|&v| self.inst.resolve_readonly(v))
-            .collect();
-        let core = core_retract(self.inst.relation(), &frozen);
-        if core.len() < self.inst.len() {
-            self.inst.replace_relation(core);
-        }
     }
 }

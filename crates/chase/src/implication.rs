@@ -120,7 +120,7 @@ impl DecideMode {
 /// Knobs for [`decide`].
 #[derive(Clone, Debug, Default)]
 pub struct DecideConfig {
-    /// Chase budget and variant.
+    /// Chase budgets.
     pub chase: ChaseConfig,
     /// Counterexample search budget.
     pub search: SearchConfig,

@@ -1,10 +1,11 @@
 //! The mutable tableau the chase operates on.
 //!
-//! A chase instance starts from the goal dependency's hypothesis (whose
-//! values are *frozen* — they are the symbols the final answer is phrased
-//! in) and grows by td steps (new rows with fresh labeled nulls) and egd
-//! steps (merging two values in a union-find, then rewriting the rows that
-//! contain the merged-away value to canonical representatives).
+//! A chase instance starts from the goal dependency's hypothesis (the
+//! symbols the final answer is phrased in) and grows by td steps (new rows
+//! with fresh labeled nulls) and egd steps (merging two values in a
+//! union-find, then rewriting the rows that contain the merged-away value
+//! to canonical representatives). Those are its only mutations: rows are
+//! never deleted except as duplicates collapsed by a merge.
 //!
 //! For the semi-naive engine the instance also keeps a *version* per row
 //! (a monotone counter stamped when the row was inserted or last rewritten)
@@ -27,8 +28,7 @@ use typedtd_relational::{FxHashSet, Relation, RowDelta, Tuple, Universe, Value};
 pub struct ChaseInstance {
     relation: Relation,
     uf: UnionFind,
-    frozen: FxHashSet<Value>,
-    /// Monotone mutation counter; bumped by inserts, merges, replacements.
+    /// Monotone mutation counter; bumped by inserts and merges.
     version: u64,
     /// Per-row version stamps, parallel to `relation.rows()`.
     row_versions: Vec<u64>,
@@ -39,16 +39,14 @@ pub struct ChaseInstance {
 }
 
 impl ChaseInstance {
-    /// Starts an instance from initial rows; all their values are frozen.
+    /// Starts an instance from initial rows.
     pub fn new(universe: Arc<Universe>, rows: impl IntoIterator<Item = Tuple>) -> Self {
         let relation = Relation::from_rows(universe, rows);
-        let frozen = relation.val().collect();
         let row_versions = vec![1; relation.len()];
         let dirty_log = (0..relation.len() as u32).map(|i| (1, i)).collect();
         Self {
             relation,
             uf: UnionFind::new(),
-            frozen,
             version: 1,
             row_versions,
             dirty_log,
@@ -63,11 +61,6 @@ impl ChaseInstance {
     /// The universe of the instance.
     pub fn universe(&self) -> &Arc<Universe> {
         self.relation.universe()
-    }
-
-    /// The frozen (initial) values.
-    pub fn frozen(&self) -> &FxHashSet<Value> {
-        &self.frozen
     }
 
     /// Number of rows.
@@ -204,24 +197,6 @@ impl ChaseInstance {
     pub fn identified(&mut self, a: Value, b: Value) -> bool {
         self.uf.same(a, b)
     }
-
-    /// Replaces the row set wholesale (used by the core-chase retraction),
-    /// keeping the union-find and the frozen set. Every row of the
-    /// replacement is stamped dirty, so the next semi-naive scan is a full
-    /// rescan — retraction may both remove rows and remap values, which
-    /// invalidates per-row change tracking.
-    ///
-    /// # Panics
-    /// Panics if the replacement is over a different universe.
-    pub fn replace_relation(&mut self, relation: Relation) {
-        assert_eq!(relation.universe().width(), self.relation.universe().width());
-        self.version += 1;
-        self.row_versions = vec![self.version; relation.len()];
-        self.dirty_log = (0..relation.len() as u32)
-            .map(|i| (self.version, i))
-            .collect();
-        self.relation = relation;
-    }
 }
 
 #[cfg(test)]
@@ -236,7 +211,6 @@ mod tests {
         let (a, b, c) = (p.untyped("a"), p.untyped("b"), p.untyped("c"));
         let mut inst = ChaseInstance::new(u.clone(), [Tuple::new(vec![a, b, c])]);
         assert_eq!(inst.len(), 1);
-        assert!(inst.frozen().contains(&a));
 
         inst.merge(b, c);
         let root = inst.resolve(c);
@@ -330,21 +304,6 @@ mod tests {
         assert!(delta.is_empty(), "unexpected dirty rows: {:?}", delta.ids());
         // Version bookkeeping stayed aligned with the rows.
         assert_eq!(inst.relation().cell(1, u.a("A'")), x);
-    }
-
-    #[test]
-    fn replace_relation_dirties_everything() {
-        let u = Universe::untyped_abc();
-        let mut p = ValuePool::new(u.clone());
-        let (a, b, c) = (p.untyped("a"), p.untyped("b"), p.untyped("c"));
-        let mut inst = ChaseInstance::new(u.clone(), [Tuple::new(vec![a, b, c])]);
-        let checkpoint = inst.version();
-        let replacement = Relation::from_rows(
-            u.clone(),
-            [Tuple::new(vec![a, b, c]), Tuple::new(vec![b, c, a])],
-        );
-        inst.replace_relation(replacement);
-        assert_eq!(inst.delta_since(checkpoint).ids(), &[0, 1]);
     }
 
     #[test]

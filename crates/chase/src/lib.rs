@@ -7,8 +7,8 @@
 //! no total algorithm exists for typed td (or pjd) implication; what *does*
 //! exist, and what this crate provides, is:
 //!
-//! * [`chase_implication`] / [`saturate`] — the chase, in standard,
-//!   oblivious, and core variants, with machine-checkable
+//! * [`chase_implication`] / [`saturate`] — the restricted chase, run in
+//!   fair breadth-first rounds, with machine-checkable
 //!   [`trace::ChaseTrace`]s (the paper's own Lemma 10 is a chase
 //!   derivation). Trigger discovery is *semi-naive*: per-row version
 //!   stamps restrict each round's embedding search to the delta (see
@@ -24,14 +24,12 @@
 //!   A [`DecideTask`] can also dovetail *within* itself
 //!   ([`DecideMode::Dovetail`]: chase rounds alternate with search
 //!   attempts), and every task carries a [`CancelToken`] that stops it
-//!   mid-slice instead of letting it burn its remaining budget;
-//! * [`core_retract`] / [`minimize_td`] — tableau cores (reference [19]).
+//!   mid-slice instead of letting it burn its remaining budget.
 
 #![warn(missing_docs)]
 
 pub mod cancel;
 pub mod classify;
-pub mod core_retract;
 pub mod engine;
 pub mod implication;
 pub mod instance;
@@ -44,10 +42,8 @@ pub use cancel::CancelToken;
 pub use classify::{
     classify, routed_decide_config, terminating_chase_config, FragmentReport, RouteClass,
 };
-pub use core_retract::{core_retract, minimize_td};
 pub use engine::{
-    chase_implication, saturate, ChaseConfig, ChaseOutcome, ChaseRun, ChaseTask, ChaseVariant,
-    Goal, StepStatus,
+    chase_implication, saturate, ChaseConfig, ChaseOutcome, ChaseRun, ChaseTask, Goal, StepStatus,
 };
 pub use implication::{
     decide, decide_dependencies, Answer, DecideConfig, DecideMode, DecideStatus, DecideTask,

@@ -13,7 +13,7 @@
 //! `θ_{X→A}` is exactly this construction applied to the fd read as an
 //! egd). Lemma 9 (= Sadri–Ullman's result for unrestricted implication)
 //! justifies the replacement inside `Σ`; Lemma 5 (from the Beeri–Vardi
-//! report [9], reconstructed here — see DESIGN.md §3) additionally converts
+//! report \[9\], reconstructed here — see DESIGN.md §3) additionally converts
 //! the *goal* egd into the total td `θ_σ`.
 //!
 //! Every `θ` is total, so a chase using only `θ`s never invents values:

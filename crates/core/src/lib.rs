@@ -8,9 +8,10 @@
 //!   (`T(w)`, `N(a)`, `s`; Example 1; the Lemma 1 fds);
 //! * [`translate`] — Section 4: `T` on dependencies (`T(θ) = (T(w), T(I))`,
 //!   Example 2; `T((a=b, I)) = (a¹=b¹, T(I))`), with Lemma 2 checkers;
-//! * [`sigma0`] — the auxiliary td `σ₀` and set `Σ₀`, with Lemma 4;
-//! * [`t_inverse`] — Lemma 3: reconstructing an untyped counterexample
-//!   from a typed one;
+//! * [`sigma0`](mod@sigma0) — the auxiliary td `σ₀` and set `Σ₀`, with
+//!   Lemma 4;
+//! * [`t_inverse`](mod@t_inverse) — Lemma 3: reconstructing an untyped
+//!   counterexample from a typed one;
 //! * [`egd_elim`] — Lemmas 5 and 9: `θ_{X→A}` (Example 4) and the
 //!   generalized `θ_ε`, eliminating equality generation;
 //! * [`shallow`] — Section 6: the hat translation `θ̂` over

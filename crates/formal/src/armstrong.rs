@@ -1,4 +1,4 @@
-//! Armstrong relations (Theorem 5 and the paper's reference [18]).
+//! Armstrong relations (Theorem 5 and the paper's reference \[18\]).
 //!
 //! A finite Armstrong relation for `Σ` within a class `C` satisfies
 //! exactly the `C`-dependencies finitely implied by `Σ`. Theorem 5 shows

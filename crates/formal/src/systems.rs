@@ -6,7 +6,7 @@
 //! proofs — contradicting Theorem 6. [`all_pjds`] is that finite
 //! enumeration, and [`universe_bounded_decides`] demonstrates the
 //! enumeration argument on the *decidable* subclass of total jds (where a
-//! universe-bounded complete system does exist, the paper's [11]).
+//! universe-bounded complete system does exist, the paper's \[11\]).
 //!
 //! **Theorem 8.** A sound and complete system exists once proofs may leave
 //! the universe: transform the pjds to tds (Lemma 6), chase, and present

@@ -145,7 +145,7 @@ pub mod prop {
             }
         }
 
-        /// See [`vec`].
+        /// See [`vec()`].
         pub struct VecStrategy<E> {
             element: E,
             sizes: SizeRange,

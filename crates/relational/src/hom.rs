@@ -96,11 +96,6 @@ impl Valuation {
     pub fn apply_rows(&self, rows: &[Tuple]) -> Vec<Tuple> {
         rows.iter().map(|t| self.apply_tuple(t)).collect()
     }
-
-    /// Raw map access (for [`Relation::map`]).
-    pub fn as_map(&self) -> &FxHashMap<Value, Value> {
-        &self.map
-    }
 }
 
 /// A set of target-row positions used to restrict embedding search: the
@@ -313,16 +308,6 @@ impl<'a> Embedder<'a> {
             .is_break()
     }
 
-    /// First embedding extending `seed`, if any.
-    pub fn find_embedding(&self, source: &[Tuple], seed: &Valuation) -> Option<Valuation> {
-        let mut found = None;
-        self.for_each_embedding(source, seed, |a| {
-            found = Some(a.clone());
-            ControlFlow::Break(())
-        });
-        found
-    }
-
     /// `true` if some embedding extending `seed` exists (no valuation is
     /// materialized).
     pub fn embeds(&self, source: &[Tuple], seed: &Valuation) -> bool {
@@ -520,11 +505,6 @@ pub fn embeds(source: &[Tuple], target: &Relation, seed: &Valuation) -> bool {
     Embedder::new(target).embeds(source, seed)
 }
 
-/// Convenience: first embedding of `source` into `target` extending `seed`.
-pub fn find_embedding(source: &[Tuple], target: &Relation, seed: &Valuation) -> Option<Valuation> {
-    Embedder::new(target).find_embedding(source, seed)
-}
-
 /// `true` if some row of `target` is an image of `row` under a valuation
 /// extending `seed` — the satisfaction probe for a one-row td conclusion.
 ///
@@ -647,8 +627,12 @@ mod tests {
         let pattern = vec![Tuple::new(vec![x, x, z])];
         let e = Embedder::new(&r);
         assert_eq!(e.count_embeddings(&pattern, &Valuation::new()), 1);
-        let hom = e.find_embedding(&pattern, &Valuation::new()).unwrap();
-        assert_eq!(hom.get(x), p.get(None, "d"));
+        let mut image = None;
+        e.for_each_embedding(&pattern, &Valuation::new(), |hom| {
+            image = hom.get(x);
+            ControlFlow::Break(())
+        });
+        assert_eq!(image, p.get(None, "d"));
     }
 
     #[test]

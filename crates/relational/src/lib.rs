@@ -64,9 +64,7 @@ pub mod value;
 pub use bitset::AttrSet;
 pub use display::{render_relation, render_rows};
 pub use fx::{FxHashMap, FxHashSet};
-pub use hom::{
-    embeds, find_embedding, satisfies_row, Embedder, RowDelta, ScanScope, ScanStats, Valuation,
-};
+pub use hom::{embeds, satisfies_row, Embedder, RowDelta, ScanScope, ScanStats, Valuation};
 pub use isomorphism::{isomorphic, isomorphism};
 pub use relation::{project_join, ColumnIndex, Projection, Relation, RewriteReport, RowRef};
 pub use tuple::Tuple;

@@ -1,7 +1,7 @@
 //! Semigroup substrate for Theorems 1 and 3 of Vardi (PODS 1982 /
 //! JCSS 1984).
 //!
-//! Theorem 1 (Beeri–Vardi [7]) supplies undecidable untyped instances by
+//! Theorem 1 (Beeri–Vardi \[7\]) supplies undecidable untyped instances by
 //! reducing from equational reasoning over semigroups; Theorem 3 sharpens
 //! it with the Gurevich–Lewis recursive-inseparability result for
 //! cancellation semigroups. This crate provides the raw material:

@@ -1,4 +1,4 @@
-//! The [7]-style reduction from equational implications to untyped
+//! The \[7\]-style reduction from equational implications to untyped
 //! dependency implication (Theorems 1 and 3).
 //!
 //! A groupoid's multiplication is stored as the ternary untyped relation

@@ -3,9 +3,9 @@
 //! An *equational implication* (ei) is a sentence
 //! `∀y₁…y_n (s₁ = t₁ ∧ … ∧ s_k = t_k → s_{k+1} = t_{k+1})` whose terms are
 //! built from the variables by a binary multiplication. Gurevich–Lewis
-//! (the paper's [21]) proved that `{φ : φ holds in all semigroups}` and
+//! (the paper's \[21\]) proved that `{φ : φ holds in all semigroups}` and
 //! `{φ : φ fails in some finite semigroup}` are recursively inseparable;
-//! Theorem 3 pushes that through the [7]-style reduction implemented in
+//! Theorem 3 pushes that through the \[7\]-style reduction implemented in
 //! [`crate::reduction`].
 
 use std::fmt;

@@ -38,7 +38,7 @@ pub fn stats_line(client: &ImplicationClient) -> String {
         "jobs={} completed={} yes={} no={} unknown={} cache_hits={} goal_in_sigma={} \
          coalesced={} misses={} hit_rate={:.2} evictions={} expired={} cancelled={} \
          retired={} shed={} fuel={} sweeps={} steals={} parked={} warm_hits={} \
-         persist_errors={} cached_queries={} inflight={}",
+         persist_errors={} verify_rejects={} cached_queries={} inflight={}",
         s.submitted,
         s.completed,
         s.yes,
@@ -60,6 +60,7 @@ pub fn stats_line(client: &ImplicationClient) -> String {
         s.parked,
         s.warm_hits,
         s.persist_errors,
+        s.verify_rejects,
         client.cache_len(),
         client.pending_jobs(),
     );

@@ -1229,9 +1229,10 @@ fn handle_frame(
                         s.class_cache_misses[i],
                     );
                 }
-                // Fragment-routing and Σ-group sharing counters, always
-                // emitted: the token-tolerant parser skips them on old
-                // clients, and ledger diffs want the zeros.
+                // Fragment-routing, Σ-group sharing and verification
+                // counters, always emitted: the token-tolerant parser
+                // skips them on old clients, and ledger diffs want the
+                // zeros.
                 for r in typedtd_chase::RouteClass::ALL {
                     let _ = write!(
                         text,
@@ -1242,8 +1243,8 @@ fn handle_frame(
                 }
                 let _ = write!(
                     text,
-                    " grouped={} group_chases={} group_fallbacks={}",
-                    s.grouped, s.group_chases, s.group_fallbacks,
+                    " grouped={} group_chases={} group_fallbacks={} verify_rejects={}",
+                    s.grouped, s.group_chases, s.group_fallbacks, s.verify_rejects,
                 );
             }
             // Server-wide histogram families ride along as more

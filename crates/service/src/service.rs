@@ -159,7 +159,7 @@ pub struct ServiceConfig {
     /// `telemetry_overhead` bench scenario measures the difference).
     pub metrics: bool,
     /// Route each scheduled query through the Σ fragment classifier
-    /// ([`typedtd_chase::classify`]): a weakly acyclic Σ has a
+    /// ([`typedtd_chase::classify()`]): a weakly acyclic Σ has a
     /// *terminating* chase, so the job runs sequentially with unbounded
     /// chase budgets and skips the finite-model search entirely — the
     /// chase alone decides both implication problems. Linear/guarded

@@ -12,7 +12,7 @@
 //! |-------|----------|
 //! | [`relational`] | universes, typed/untyped values, tuples, relations, project-join `m_R`, homomorphism search |
 //! | [`dependencies`] | tds, egds, fds, mvds, jds, pjds; satisfaction; shallow ↔ pjd (Lemma 6); fd/mvd oracles |
-//! | [`chase`] | the chase (standard / oblivious / core), traces, finite counterexample search, three-valued [`chase::decide`] |
+//! | [`chase`] | the restricted chase, traces, finite counterexample search, three-valued [`chase::decide`] |
 //! | [`core`] | Sections 3–6: `T`, `σ₀`/`Σ₀`, `T⁻¹`, `θ_{X→A}`, the hat translation, Theorem 2 and Theorem 6 pipelines |
 //! | [`semigroup`] | Theorem 1/3 substrate: equational implications, finite semigroups, the fixed set `Σ₁` |
 //! | [`formal`] | checkable proofs, Theorem 7/8 formal systems, Armstrong relations |
@@ -48,8 +48,8 @@ pub mod undecidability;
 pub mod prelude {
     pub use typedtd_chase::{
         chase_implication, decide, decide_dependencies, saturate, Answer, CancelToken,
-        ChaseConfig, ChaseOutcome, ChaseTask, ChaseVariant, DecideConfig, DecideMode,
-        DecideTask, SearchConfig, SearchTask, StepStatus,
+        ChaseConfig, ChaseOutcome, ChaseTask, DecideConfig, DecideMode, DecideTask,
+        SearchConfig, SearchTask, StepStatus,
     };
     pub use typedtd_dependencies::{
         egd_from_names, td_from_names, Dependency, Egd, Fd, Mvd, Pjd, Td, TdOrEgd,

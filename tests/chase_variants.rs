@@ -1,15 +1,15 @@
-//! The three chase variants must agree on decidable instances, and found
-//! counterexamples must always verify.
+//! Terminal chase instances must verify as counterexamples, and a
+//! divergent chase must stop at its budget.
 //!
-//! The decide layer rides the same engines: `DecideMode::Dovetail` must
-//! answer exactly what `DecideMode::Sequential` answers across every
-//! variant/scan combination (typed and untyped), and cancelling a
+//! The decide layer rides the same engine: `DecideMode::Dovetail` must
+//! answer exactly what `DecideMode::Sequential` answers under both trigger
+//! scans, semi-naive and naive (typed and untyped), and cancelling a
 //! dovetailed task mid-flight stops it within one fuel slice.
 
 use proptest::prelude::*;
 use typedtd::chase::{
-    chase_implication, decide, is_counterexample, Answer, ChaseConfig, ChaseOutcome,
-    ChaseVariant, DecideConfig, DecideMode, DecideStatus, DecideTask,
+    chase_implication, decide, is_counterexample, Answer, ChaseConfig, ChaseOutcome, DecideConfig,
+    DecideMode, DecideStatus, DecideTask,
 };
 use typedtd::dependencies::{egd_from_names, td_from_names, TdOrEgd};
 use typedtd::prelude::*;
@@ -22,50 +22,8 @@ fn mask_to_set(u: &Universe, mask: u32) -> AttrSet {
     u.attrs().filter(|a| mask & (1 << a.index()) != 0).collect()
 }
 
-fn run_variant(
-    sigma: &[TdOrEgd],
-    goal: &TdOrEgd,
-    pool: &mut ValuePool,
-    variant: ChaseVariant,
-) -> ChaseOutcome {
-    let cfg = ChaseConfig::default().with_variant(variant);
-    chase_implication(sigma, goal, pool, &cfg).outcome
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Standard and core chase agree on mvd instances
-    /// (total tds: guaranteed termination). The oblivious chase agrees on
-    /// the Implied verdict whenever the others imply.
-    #[test]
-    fn variants_agree_on_mvd_instances(
-        lhs_masks in prop::collection::vec(1u32..15, 1..3),
-        rhs_masks in prop::collection::vec(1u32..15, 1..3),
-        goal_lhs in 1u32..15,
-        goal_rhs in 1u32..15,
-    ) {
-        let u = universe4();
-        let mut pool = ValuePool::new(u.clone());
-        let sigma: Vec<TdOrEgd> = lhs_masks
-            .iter()
-            .zip(&rhs_masks)
-            .map(|(&l, &r)| {
-                let mvd = Mvd::new(u.clone(), mask_to_set(&u, l), mask_to_set(&u, r));
-                TdOrEgd::Td(mvd.to_pjd().to_td(&u, &mut pool))
-            })
-            .collect();
-        let goal_mvd = Mvd::new(u.clone(), mask_to_set(&u, goal_lhs), mask_to_set(&u, goal_rhs));
-        let goal = TdOrEgd::Td(goal_mvd.to_pjd().to_td(&u, &mut pool));
-
-        let standard = run_variant(&sigma, &goal, &mut pool, ChaseVariant::Standard);
-        let core = run_variant(&sigma, &goal, &mut pool, ChaseVariant::Core);
-        prop_assert_eq!(standard, core);
-        if standard == ChaseOutcome::Implied {
-            let obl = run_variant(&sigma, &goal, &mut pool, ChaseVariant::Oblivious);
-            prop_assert_eq!(obl, ChaseOutcome::Implied);
-        }
-    }
 
     /// Terminal (NotImplied) chase instances really are counterexamples:
     /// they satisfy Σ and violate the goal.
@@ -119,26 +77,17 @@ fn decide_dovetailed(
     (decision.implication, decision.finite_implication)
 }
 
-/// Every engine variant × scan combination the chase parity tests cover,
-/// for the decide-layer parity tests below. The oblivious variant is
-/// separate: it diverges by design on instances the others decide, so it
-/// gets the Implied-subset treatment (as in
-/// `variants_agree_on_mvd_instances`).
-const ENGINE_COMBOS: [(ChaseVariant, bool); 4] = [
-    (ChaseVariant::Standard, true),
-    (ChaseVariant::Standard, false),
-    (ChaseVariant::Core, true),
-    (ChaseVariant::Core, false),
-];
+/// Both trigger scans, semi-naive and the naive reference, for the
+/// decide-layer parity tests below.
+const ENGINE_COMBOS: [bool; 2] = [true, false];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// `DecideMode::Dovetail` answers exactly what sequential `decide`
-    /// answers on the typed mvd corpus, under every engine variant
-    /// (standard/core × naive/semi-naive) and two
-    /// dovetail ratios. PR 4 proved this only through the service layer
-    /// (`tests/service.rs`); this is the direct task-level backfill.
+    /// answers on the typed mvd corpus, under both scans (naive and
+    /// semi-naive) and two dovetail ratios: the task-level counterpart of
+    /// the service-level check in `tests/service.rs`.
     #[test]
     fn dovetail_matches_sequential_across_typed_variants(
         lhs_masks in prop::collection::vec(1u32..15, 1..3),
@@ -159,42 +108,25 @@ proptest! {
         let goal_mvd = Mvd::new(u.clone(), mask_to_set(&u, goal_lhs), mask_to_set(&u, goal_rhs));
         let goal = TdOrEgd::Td(goal_mvd.to_pjd().to_td(&u, &mut pool));
 
-        for (variant, semi) in ENGINE_COMBOS {
-            let chase = ChaseConfig::default()
-                .with_variant(variant)
-                .with_semi_naive(semi);
+        for semi in ENGINE_COMBOS {
+            let chase = ChaseConfig::default().with_semi_naive(semi);
             let seq_cfg = DecideConfig {
                 chase: chase.clone(),
                 ..DecideConfig::default()
             };
             let seq = decide(&sigma, &goal, &mut pool.clone(), &seq_cfg);
-            // The mvd corpus must be decidable under every variant.
+            // The mvd corpus must be decidable under both scans.
             prop_assert_ne!(seq.implication, Answer::Unknown);
             for ratio in [1, 3] {
                 let (imp, fin) =
                     decide_dovetailed(&sigma, &goal, &pool, chase.clone(), ratio);
                 prop_assert_eq!(
                     imp, seq.implication,
-                    "dovetail {}:1 diverged under {:?} semi={}",
-                    ratio, variant, semi
+                    "dovetail {}:1 diverged under semi={}",
+                    ratio, semi
                 );
                 prop_assert_eq!(fin, seq.finite_implication);
             }
-        }
-
-        // Oblivious: divergent by design, so only the Implied subset is
-        // comparable — when the sequential oblivious decide proves the
-        // goal, the dovetailed one must prove it too.
-        let obl = ChaseConfig::default().with_variant(ChaseVariant::Oblivious);
-        let seq_obl = decide(
-            &sigma,
-            &goal,
-            &mut pool.clone(),
-            &DecideConfig { chase: obl.clone(), ..DecideConfig::default() },
-        );
-        if seq_obl.implication == Answer::Yes {
-            let (imp, _) = decide_dovetailed(&sigma, &goal, &pool, obl, 2);
-            prop_assert_eq!(imp, Answer::Yes, "oblivious dovetail lost an Implied verdict");
         }
     }
 }
@@ -202,7 +134,7 @@ proptest! {
 /// The untyped side of the backfill: a divergent-chase, refutable goal
 /// (`successor td ⊨ fd-as-egd`), where the answer must come from the
 /// search phase — sequential after chase exhaustion, dovetail
-/// interleaved — identically across engine variants.
+/// interleaved — identically under both scans.
 #[test]
 fn dovetail_matches_sequential_on_untyped_divergent_refutable() {
     let u = Universe::untyped_abc();
@@ -217,10 +149,8 @@ fn dovetail_matches_sequential_on_untyped_divergent_refutable() {
     );
     let sigma = vec![TdOrEgd::Td(successor)];
     let goal = TdOrEgd::Egd(fd_egd);
-    for (variant, semi) in ENGINE_COMBOS {
-        let chase = ChaseConfig::quick()
-            .with_variant(variant)
-            .with_semi_naive(semi);
+    for semi in ENGINE_COMBOS {
+        let chase = ChaseConfig::quick().with_semi_naive(semi);
         let seq_cfg = DecideConfig {
             chase: chase.clone(),
             ..DecideConfig::default()
@@ -229,13 +159,13 @@ fn dovetail_matches_sequential_on_untyped_divergent_refutable() {
         assert_eq!(
             seq.implication,
             Answer::No,
-            "the finite-model search must refute under {variant:?}"
+            "the finite-model search must refute under semi={semi}"
         );
         for ratio in [1, 4] {
             let (imp, fin) = decide_dovetailed(&sigma, &goal, &pool, chase.clone(), ratio);
             assert_eq!(
                 imp, seq.implication,
-                "dovetail {ratio}:1 diverged under {variant:?} semi={semi}"
+                "dovetail {ratio}:1 diverged under semi={semi}"
             );
             assert_eq!(fin, seq.finite_implication);
         }
@@ -248,18 +178,23 @@ fn dovetail_matches_sequential_on_untyped_divergent_refutable() {
 /// budgets, and further fuel is ignored.
 #[test]
 fn cancel_mid_dovetail_stops_within_one_slice() {
+    // Casanova–Fagin–Papadimitriou: `A -> B & [A] <= [B] |= [B] <= [A]`
+    // over A'B'C'. In a finite relation the fd gives |B| <= |A| and the
+    // inclusion gives |A| <= |B|, so A and B hold the same values and the
+    // goal follows; an infinite relation refutes it. Finitely implied but
+    // not implied: the chase grows forever and no finite counterexample
+    // exists for the search to find, so the task never finishes.
     let u = Universe::untyped_abc();
     let mut pool = ValuePool::new(u.clone());
-    let successor = td_from_names(&u, &mut pool, &[&["x", "y", "z"]], &["y", "q1", "q2"]);
-    // A goal no chase step ever derives and no finite model refutes
-    // quickly at these budgets: the task would run a long time.
-    let never = egd_from_names(
+    let fd = egd_from_names(
         &u,
         &mut pool,
         &[&["x", "y1", "z1"], &["x", "y2", "z2"]],
         ("B'", "y1"),
         ("B'", "y2"),
     );
+    let a_in_b = td_from_names(&u, &mut pool, &[&["x", "y", "z"]], &["w", "x", "v"]);
+    let b_in_a = td_from_names(&u, &mut pool, &[&["x", "y", "z"]], &["y", "w", "v"]);
     let cfg = DecideConfig {
         chase: ChaseConfig {
             max_rounds: 100_000,
@@ -272,8 +207,8 @@ fn cancel_mid_dovetail_stops_within_one_slice() {
         ..DecideConfig::default()
     };
     let mut task = DecideTask::new(
-        vec![TdOrEgd::Td(successor)],
-        TdOrEgd::Egd(never),
+        vec![TdOrEgd::Egd(fd), TdOrEgd::Td(a_in_b)],
+        TdOrEgd::Td(b_in_a),
         pool,
         cfg,
     );
@@ -302,52 +237,22 @@ fn cancel_mid_dovetail_stops_within_one_slice() {
 }
 
 #[test]
-fn core_chase_keeps_instances_no_larger() {
-    // On an instance with redundant derivations the core chase's final
-    // relation is no larger than the standard chase's.
-    let u = universe4();
+fn divergent_chase_is_bounded_by_budget() {
+    // The successor td (x, y, z) → (y, q1, q2): every row's B' value needs
+    // a row starting with it, and each new row's fresh B' value needs
+    // another, so the standard chase diverges and must stop at the budget.
+    // It adds one row per round, so the row budget is the one that binds.
+    let u = Universe::untyped_abc();
     let mut pool = ValuePool::new(u.clone());
-    let sigma: Vec<TdOrEgd> = ["A ->> B", "B ->> C", "C ->> D"]
-        .iter()
-        .map(|s| TdOrEgd::Td(Mvd::parse(&u, s).unwrap().to_pjd().to_td(&u, &mut pool)))
-        .collect();
-    let goal_mvd = Mvd::parse(&u, "A ->> D").unwrap();
-    let goal = TdOrEgd::Td(goal_mvd.to_pjd().to_td(&u, &mut pool));
-
-    let std_run = chase_implication(&sigma, &goal, &mut pool, &ChaseConfig::default());
-    let core_run = chase_implication(
-        &sigma,
-        &goal,
-        &mut pool,
-        &ChaseConfig::default().with_variant(ChaseVariant::Core),
-    );
-    assert_eq!(std_run.outcome, core_run.outcome);
-    assert!(core_run.final_relation.len() <= std_run.final_relation.len());
-}
-
-#[test]
-fn oblivious_chase_is_bounded_by_budget_on_divergent_input() {
-    // A self-feeding non-total td: the oblivious chase diverges by design
-    // and must stop at the budget.
-    let u = Universe::typed(vec!["A", "B"]);
-    let mut pool = ValuePool::new(u.clone());
-    // Inert for the standard chase (its conclusion is satisfied by the
-    // matched row itself) but endlessly refired by the oblivious chase.
-    let td = typedtd::dependencies::td_from_names(&u, &mut pool, &[&["x", "y"]], &["x", "y2"]);
-    let sigma = vec![TdOrEgd::Td(td)];
-    // The goal demands a combination (p, q2) no chase step ever creates.
-    let goal_td = typedtd::dependencies::td_from_names(
-        &u,
-        &mut pool,
-        &[&["p", "q"], &["p2", "q2"]],
-        &["p", "q2"],
-    );
+    let successor = td_from_names(&u, &mut pool, &[&["x", "y", "z"]], &["y", "q1", "q2"]);
+    let sigma = vec![TdOrEgd::Td(successor)];
+    // No chase step ever creates a row starting with the goal's `r`.
+    let goal_td = td_from_names(&u, &mut pool, &[&["p", "q", "r"]], &["r", "s", "t"]);
     let goal = TdOrEgd::Td(goal_td);
     let cfg = ChaseConfig {
-        max_rounds: 8,
+        max_rounds: 1_000,
         max_rows: 64,
         max_steps: 128,
-        variant: ChaseVariant::Oblivious,
         ..ChaseConfig::default()
     };
     let run = chase_implication(&sigma, &goal, &mut pool, &cfg);

@@ -688,6 +688,7 @@ fn stats_frame_roundtrips_classifier_and_group_tokens() {
         "grouped",
         "group_chases",
         "group_fallbacks",
+        "verify_rejects",
     ] {
         assert!(stats.contains_key(key), "STATS reply missing {key}: {stats:?}");
     }

@@ -7,7 +7,7 @@
 //! *exactly* on outcome and round count, and up to isomorphism of labeled
 //! nulls on the final instance — on seeded random fd/mvd/pjd sets over a
 //! typed universe, and random td/egd sets over the untyped universe
-//! `U' = A'B'C'`, across all chase variants.
+//! `U' = A'B'C'`.
 
 use proptest::prelude::*;
 use typedtd::dependencies::{egd_from_names, td_from_names, Dependency, TdOrEgd};
@@ -40,18 +40,20 @@ fn assert_parity(
     sigma: &[TdOrEgd],
     goal: &TdOrEgd,
     pool: &mut ValuePool,
-    variant: ChaseVariant,
 ) -> Result<(), TestCaseError> {
-    let base = ChaseConfig::default().with_variant(variant);
-    let naive = run(sigma, goal, pool, &base.clone().with_semi_naive(false));
-    let semi = run(sigma, goal, pool, &base.clone().with_semi_naive(true));
-    prop_assert_eq!(naive.0, semi.0, "outcome diverged ({:?})", variant);
-    prop_assert_eq!(naive.1, semi.1, "round count diverged ({:?})", variant);
-    prop_assert_eq!(naive.2.len(), semi.2.len(), "row count diverged ({:?})", variant);
+    let naive = run(
+        sigma,
+        goal,
+        pool,
+        &ChaseConfig::default().with_semi_naive(false),
+    );
+    let semi = run(sigma, goal, pool, &ChaseConfig::default());
+    prop_assert_eq!(naive.0, semi.0, "outcome diverged");
+    prop_assert_eq!(naive.1, semi.1, "round count diverged");
+    prop_assert_eq!(naive.2.len(), semi.2.len(), "row count diverged");
     prop_assert!(
         isomorphic(&naive.2, &semi.2),
-        "final instances not isomorphic ({:?})",
-        variant
+        "final instances not isomorphic"
     );
     Ok(())
 }
@@ -101,9 +103,7 @@ proptest! {
             .flat_map(|d| d.normalize(&u, &mut pool))
             .collect();
         for g in goal.normalize(&u, &mut pool) {
-            assert_parity(&sigma, &g, &mut pool, ChaseVariant::Standard)?;
-            assert_parity(&sigma, &g, &mut pool, ChaseVariant::Core)?;
-            assert_parity(&sigma, &g, &mut pool, ChaseVariant::Oblivious)?;
+            assert_parity(&sigma, &g, &mut pool)?;
         }
     }
 
@@ -158,8 +158,7 @@ proptest! {
         let goal = TdOrEgd::Td(td_from_names(&u, &mut pool, &goal_slices, &goal_concl_refs));
 
         let sigma = vec![TdOrEgd::Td(td), TdOrEgd::Egd(egd)];
-        assert_parity(&sigma, &goal, &mut pool, ChaseVariant::Standard)?;
-        assert_parity(&sigma, &goal, &mut pool, ChaseVariant::Core)?;
+        assert_parity(&sigma, &goal, &mut pool)?;
     }
 }
 

@@ -233,6 +233,11 @@ fn concurrent_clients_match_blocking_decide() {
         "the ledger must show the drained in-flight gauge: {}",
         stats_line(&client)
     );
+    assert!(
+        stats_line(&client).contains(" verify_rejects=0"),
+        "the ledger must show the verification rejects: {}",
+        stats_line(&client)
+    );
     // Every handle dropped inside the threads: all storage reclaimed.
     assert_eq!(client.live_jobs(), 0, "retire-on-drop must free all slots");
 }
