@@ -239,9 +239,18 @@ fn run_service(queries: Vec<Query>, workers: usize) -> (Vec<Answer>, u64) {
         .map(|(sigma, goal, pool)| client.submit(QuerySpec::new(sigma, goal, pool)))
         .collect();
     client.run_to_completion();
+    assert_ledger(&client);
     let answers = jobs.iter().map(answer_of).collect();
     let s = client.stats();
     (answers, s.cache_hits + s.coalesced + s.goal_in_sigma)
+}
+
+/// Every service scenario ends here once its client is quiescent: the
+/// ledger identities of [`typedtd_service::ServiceStats::check`] hold.
+fn assert_ledger(client: &ImplicationClient) {
+    if let Err(e) = client.stats().check() {
+        panic!("ledger identities violated: {e}");
+    }
 }
 
 fn answer_of(job: &JobHandle) -> Answer {
@@ -289,6 +298,7 @@ fn run_single_owner(answerable: Vec<Query>, background: Vec<Query>) -> Vec<Answe
     }
     let answers = fg.iter().map(answer_of).collect();
     drop(bg); // retire the still-running background jobs
+    assert_ledger(&client);
     answers
 }
 
@@ -337,6 +347,7 @@ fn run_multi_submit(answerable: Vec<Query>, background: Vec<Query>, threads: usi
             .flat_map(|h| h.join().unwrap())
             .collect()
     });
+    assert_ledger(&client);
     indexed.sort_unstable_by_key(|&(i, _)| i);
     indexed.into_iter().map(|(_, a)| a).collect()
 }
@@ -466,6 +477,7 @@ fn run_divergent_mix(
         .map(|(s, g, p)| client.submit(QuerySpec::new(s, g, p).fuel_cap(MIX_FUEL_CAP)))
         .collect();
     client.run_to_completion();
+    assert_ledger(&client);
     (
         fg_jobs.iter().map(answer_of).collect(),
         div_jobs.iter().map(answer_of).collect(),
@@ -617,6 +629,7 @@ fn run_mixed_class(
     client.run_to_completion();
     let _round2 = submit_round(mixed_class_lines());
     client.run_to_completion();
+    assert_ledger(&client);
     let fold = |jobs: &[JobHandle]| {
         jobs.iter()
             .map(answer_of)
@@ -737,6 +750,7 @@ fn run_telemetry_mix(
         .map(|(s, g, p)| client.submit(QuerySpec::new(s, g, p).fuel_cap(MIX_FUEL_CAP)))
         .collect();
     client.run_to_completion();
+    assert_ledger(&client);
     if metrics {
         // The record path must actually have recorded: one latency
         // sample per submission, or the "overhead" being measured is a
@@ -852,6 +866,7 @@ fn run_skewed(
         })
         .collect();
     client.run_to_completion();
+    assert_ledger(&client);
     let answers = jobs.iter().map(answer_of).collect();
     for b in &ballast_jobs {
         assert_eq!(answer_of(b), Answer::Unknown, "ballast must expire on its cap");
@@ -948,6 +963,7 @@ fn run_direct_batch(corpus: &[(String, String)]) -> Vec<Answer> {
     let batch = typedtd_service::submit_batch(&client, &text);
     assert!(batch.errors.is_empty(), "socket corpus must parse");
     client.run_to_completion();
+    assert_ledger(&client);
     batch
         .queries
         .iter()
@@ -1074,6 +1090,7 @@ fn measure_socket_stream(
         let (answers, cached) = run_socket_stream(conns, &corpus);
         let elapsed = t0.elapsed();
         assert_eq!(answers, reference, "{} wire parity violated", names[m]);
+        assert_ledger(server.client());
         (elapsed, cached)
     });
     let (ratio, spread) = paired_ratio(&[(&times[1], &times[0])]);
@@ -1126,6 +1143,7 @@ fn measure_service_shared_sigma(
                 .map(|(s, g, p)| client.submit(QuerySpec::new(s, g, p)))
                 .collect();
             client.run_to_completion();
+            assert_ledger(&client);
             (jobs.iter().map(answer_of).collect(), client.stats())
         }
     };
@@ -1197,6 +1215,7 @@ fn measure_service_warm_restart(distinct: usize, repeats: usize, samples: usize)
         let batch = typedtd_service::submit_batch(&client, &text);
         assert!(batch.errors.is_empty(), "warm-restart corpus must parse");
         client.run_to_completion();
+        assert_ledger(&client);
         let answers: Vec<Answer> = batch
             .queries
             .iter()

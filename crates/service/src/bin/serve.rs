@@ -36,8 +36,8 @@
 //! same ratio but rebalances fuel each slice toward whichever procedure
 //! progressed, favoring the search when the chase only grows rows. `--steal on|off` (default on) toggles
 //! cross-shard work stealing between the `--workers` threads; the final
-//! `--stats` line reports `steals`, `cancelled`, and `parked` alongside
-//! the cache counters.
+//! `--stats` line reports `steals`, `jobs_cancelled`, and `parked`
+//! alongside the cache counters.
 //!
 //! # Clean shutdown at end of input
 //!
@@ -49,17 +49,18 @@
 //! full scheduler sweeps, every still-pending job is explicitly
 //! [`cancelled`](typedtd_service::JobHandle::cancel) (its verdict line
 //! prints `unknown`), the scheduler settles, and the process exits 0.
-//! With or without the flag, the last line on stderr is the
-//! deterministic ledger
+//! With or without the flag, stderr ends with the deterministic ledger
 //! `typedtd-serve: done submitted=… answered=… unknown=… cancelled=…
-//! expired=…` (where `submitted == answered + unknown + cancelled`), so
-//! drivers piping queries in always see how the batch was accounted.
+//! expired=… warm_hits=… shed=…` (where
+//! `submitted == answered + unknown + cancelled`; `--stats` prints its
+//! line after it), so drivers piping queries in always see how the batch
+//! was accounted.
 
 use std::io::Read;
 use typedtd_chase::{Answer, ChaseConfig, DecideConfig, DecideMode};
 use typedtd_service::{
-    parse_decide_mode, stats_line, submit_batch, write_atomic, ImplicationClient, PersistConfig,
-    ServiceConfig,
+    done_line, parse_decide_mode, stats_line, submit_batch, write_atomic, ImplicationClient,
+    PersistConfig, ServiceConfig,
 };
 
 fn answer_str(a: Answer) -> &'static str {
@@ -247,13 +248,15 @@ fn main() {
             }
         });
         // Rescan (which polls every unreported job, taking shard locks)
-        // only when the completion counter has moved — an atomic read —
+        // only when the in-flight count has moved — an atomic read —
         // so a large query file doesn't contend with the driver threads.
-        let mut last_completed = u64::MAX;
+        // Every job is submitted by now, so the count only moves when a
+        // job resolves.
+        let mut last_inflight = usize::MAX;
         while !handle.is_finished() {
-            let completed = client.stats().completed;
-            if completed != last_completed {
-                last_completed = completed;
+            let inflight = client.pending_jobs();
+            if inflight != last_inflight {
+                last_inflight = inflight;
                 report_ready(&mut reported);
                 // Metrics writes piggyback on the same completion edge:
                 // no extra polling, and an idle drain writes nothing.
@@ -278,15 +281,7 @@ fn main() {
     // The deterministic shutdown ledger: always printed, always last —
     // `submitted == answered + unknown + cancelled` once the batch has
     // drained (cancelled jobs carry no yes/no/unknown verdict).
-    let done = client.stats();
-    eprintln!(
-        "typedtd-serve: done submitted={} answered={} unknown={} cancelled={} expired={}",
-        done.submitted,
-        done.yes + done.no,
-        done.unknown,
-        done.cancelled,
-        done.expired,
-    );
+    eprintln!("{}", done_line("typedtd-serve", &client));
 
     if show_stats {
         eprintln!(

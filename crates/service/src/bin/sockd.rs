@@ -35,9 +35,9 @@
 //! while the server runs: counters, gauges (in-flight, cache entries,
 //! per-shard queue depth), and the latency/queue-wait/run-time/fuel
 //! histograms (see `crates/service/README.md` for the format). The file
-//! is rewritten atomically (temp + rename) whenever the scheduler has
-//! swept since the last write, and one final time after shutdown drain,
-//! so a scrape never sees a torn snapshot.
+//! is rewritten atomically (temp + rename) whenever the exposition has
+//! changed since the last write, and one final time after shutdown
+//! drain, so a scrape never sees a torn snapshot.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -46,8 +46,8 @@ use std::time::Duration;
 use typedtd_chase::{ChaseConfig, DecideConfig, DecideMode};
 use typedtd_service::proto::SockdConfig;
 use typedtd_service::{
-    parse_decide_mode, stats_line, write_atomic, ImplicationClient, PersistConfig, ProtoServer,
-    ServiceConfig,
+    done_line, parse_decide_mode, stats_line, write_atomic, ImplicationClient, PersistConfig,
+    ProtoServer, ServiceConfig,
 };
 
 fn usage() -> ! {
@@ -61,18 +61,18 @@ fn usage() -> ! {
 }
 
 /// Periodically rewrites the metrics exposition until `stop` is set.
-/// Writes only when the sweep counter moved (an idle server costs no
+/// Writes only when the exposition changed (an idle server costs no
 /// disk churn beyond the poll); write errors are reported once per
 /// change, never fatal — metrics must not take the service down.
 fn metrics_writer(client: &ImplicationClient, path: &std::path::Path, stop: &AtomicBool) {
-    let mut last_sweeps = u64::MAX; // force an initial write
+    let mut last = String::new();
     while !stop.load(Ordering::Relaxed) {
-        let sweeps = client.stats().sweeps;
-        if sweeps != last_sweeps {
-            last_sweeps = sweeps;
-            if let Err(e) = write_atomic(path, &client.metrics_text()) {
+        let text = client.metrics_text();
+        if text != last {
+            if let Err(e) = write_atomic(path, &text) {
                 eprintln!("typedtd-sockd: metrics write failed: {e}");
             }
+            last = text;
         }
         std::thread::sleep(Duration::from_millis(50));
     }
@@ -214,18 +214,7 @@ fn main() {
             eprintln!("typedtd-sockd: metrics write failed: {e}");
         }
     }
-    let s = client.stats();
-    eprintln!(
-        "typedtd-sockd: done submitted={} answered={} unknown={} cancelled={} expired={} \
-         warm_hits={} shed={}",
-        s.submitted,
-        s.yes + s.no,
-        s.unknown,
-        s.cancelled,
-        s.expired,
-        s.warm_hits,
-        s.shed,
-    );
+    eprintln!("{}", done_line("typedtd-sockd", &client));
     if show_stats {
         eprintln!("{}", stats_line(&client));
     }

@@ -203,15 +203,7 @@ impl QueryKey {
 
 /// Computes the canonical key of `(sigma, goal)`.
 pub fn query_key(sigma: &[TdOrEgd], goal: &TdOrEgd) -> QueryKey {
-    query_key_and_sigma_keys(sigma, goal).0
-}
-
-/// As [`query_key`], but also returns each Σ dependency's canonical
-/// encoding, aligned with the submitted order — so a scheduler can dedup
-/// Σ without canonicalizing every dependency a second time.
-pub fn query_key_and_sigma_keys(sigma: &[TdOrEgd], goal: &TdOrEgd) -> (QueryKey, Vec<Vec<u32>>) {
-    let parts = query_parts(sigma, goal);
-    (parts.key, parts.sigma_keys)
+    query_parts(sigma, goal).key
 }
 
 /// Everything `submit` needs from one canonicalization pass.

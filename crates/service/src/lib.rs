@@ -68,6 +68,7 @@ pub mod batch;
 pub mod cache;
 pub mod canon;
 pub mod cli;
+pub mod instruments;
 pub mod persist;
 pub mod proto;
 pub mod service;
@@ -78,7 +79,8 @@ pub use batch::{
     BatchVerdict,
 };
 pub use cache::{CachedAnswer, Probe, ShardCache};
-pub use cli::{parse_decide_mode, stats_line};
+pub use cli::{done_line, parse_decide_mode, stats_line};
+pub use instruments::{Hist, Instrument, ServiceStats, Surface, COUNTERS, GAUGES, HISTOGRAMS};
 pub use persist::{
     replay_bytes, replay_log, FaultPlan, PersistConfig, PersistLog, Replay, ReplayedRecord,
 };
@@ -93,9 +95,9 @@ pub use canon::{
 };
 pub use telemetry::{
     bucket_index, bucket_upper_bound, write_atomic, Exposition, Histogram, HistogramSnapshot,
-    OutcomeKind, Telemetry, TelemetrySnapshot, HIST_BUCKETS,
+    Telemetry, TelemetrySnapshot, HIST_BUCKETS,
 };
 pub use service::{
     ImplicationClient, JobHandle, JobId, JobOutcome, JobStatus, QuerySpec, ServiceConfig,
-    ServiceStats, ShardStep,
+    ShardStep,
 };

@@ -1199,58 +1199,17 @@ fn handle_frame(
             ConnControl::Continue
         }
         Opcode::Stats => {
-            let mut text = format!(
-                "submitted={} answered={} cancelled={} expired={} pending={} shed={}",
+            // The connection's ledger, then the server-wide instruments
+            // in the `--stats` ledger's own vocabulary.
+            let text = format!(
+                "submitted={} answered={} cancelled={} expired={} pending={} {}",
                 counters.submitted,
                 counters.answered,
                 counters.cancelled,
                 counters.expired,
                 pending.len(),
-                core.client.stats().shed,
+                crate::cli::stats_line(&core.client),
             );
-            // Per-class cache breakdown (only classes that saw traffic),
-            // in the same `key=value` token shape.
-            {
-                use std::fmt::Write as _;
-                let s = core.client.stats();
-                for c in typedtd_dependencies::DependencyClass::ALL {
-                    let i = c.index();
-                    if s.class_submitted[i] == 0 {
-                        continue;
-                    }
-                    let _ = write!(
-                        text,
-                        " class_{}_submitted={} class_{}_hits={} class_{}_misses={}",
-                        c.as_str(),
-                        s.class_submitted[i],
-                        c.as_str(),
-                        s.class_cache_hits[i],
-                        c.as_str(),
-                        s.class_cache_misses[i],
-                    );
-                }
-                // Fragment-routing, Σ-group sharing and verification
-                // counters, always emitted: the token-tolerant parser
-                // skips them on old clients, and ledger diffs want the
-                // zeros.
-                for r in typedtd_chase::RouteClass::ALL {
-                    let _ = write!(
-                        text,
-                        " class_routed_{}={}",
-                        r.as_str(),
-                        s.class_routed[r.index()],
-                    );
-                }
-                let _ = write!(
-                    text,
-                    " grouped={} group_chases={} group_fallbacks={} verify_rejects={}",
-                    s.grouped, s.group_chases, s.group_fallbacks, s.verify_rejects,
-                );
-            }
-            // Server-wide histogram families ride along as more
-            // `key=value` tokens ([`TelemetrySnapshot::stats_text`]), so
-            // `parse_stats_text` keeps working unchanged.
-            text.push_str(&core.client.telemetry_snapshot().stats_text());
             progress_frame(frame.corr, ProgressKind::Stats, &text).encode_into(out);
             ConnControl::Continue
         }

@@ -80,7 +80,8 @@
 use crate::cache::{goal_hypothesis, CachedAnswer, Probe, ShardCache};
 use crate::canon::{group_query, permute_relation, query_parts, GoalDecoder, GroupKey, QueryKey};
 use crate::persist::{PersistConfig, PersistLog, ReplayedRecord};
-use crate::telemetry::{Exposition, OutcomeKind, Telemetry, TelemetrySnapshot};
+use crate::instruments::{Counters, Hist, ServiceStats, Surface, GAUGE, GAUGES};
+use crate::telemetry::{Exposition, Telemetry, TelemetrySnapshot};
 use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -89,8 +90,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use typedtd_chase::{
     classify, routed_decide_config, Answer, CancelToken, ChaseOutcome, ChaseRun, ChaseTask,
-    ChaseTrace, DecideConfig, DecideStatus, DecideTask, Decision, ProgressSnapshot, RouteClass,
-    StepStatus, TaskPhase,
+    ChaseTrace, DecideConfig, DecideStatus, DecideTask, Decision, ProgressSnapshot, StepStatus,
+    TaskPhase,
 };
 use typedtd_dependencies::{DependencyClass, TdOrEgd};
 use typedtd_relational::{isomorphic, FxHashMap, FxHashSet, Relation, ValuePool};
@@ -257,126 +258,6 @@ pub enum JobStatus {
     /// gone. Polling a retired id is a defined, stable answer — never a
     /// panic, never another job's result.
     Retired,
-}
-
-/// Aggregate service counters.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Jobs submitted.
-    pub submitted: u64,
-    /// Jobs finished (including cache hits, expiries, and cancellations).
-    pub completed: u64,
-    /// Submissions answered instantly from the cache.
-    pub cache_hits: u64,
-    /// Submissions answered `Yes` at submit time because the goal is
-    /// canonically an element of Σ (implication is reflexive). Rides the
-    /// [`ServiceConfig::cache`] switch: with the cache off every job
-    /// really runs.
-    pub goal_in_sigma: u64,
-    /// Submissions coalesced onto an identical in-flight job.
-    pub coalesced: u64,
-    /// Submissions that had to run (cache enabled but cold, or disabled).
-    pub cache_misses: u64,
-    /// Cache key hits rejected by isomorphism verification (should be 0;
-    /// a nonzero count flags a canonicalization bug).
-    pub verify_rejects: u64,
-    /// Jobs force-answered `Unknown` by fuel exhaustion (global budget or
-    /// a per-job [`QuerySpec::fuel_cap`]).
-    pub expired: u64,
-    /// Jobs resolved [`JobStatus::Cancelled`] (directly, via a cancelled
-    /// coalescing leader, or a leader whose owner cancelled while
-    /// detached waiters kept the computation alive).
-    pub cancelled: u64,
-    /// Jobs retired (handle dropped or explicitly retired); their slots
-    /// were freed for reuse.
-    pub retired: u64,
-    /// Cached answers evicted to keep the cache within
-    /// [`ServiceConfig::cache_capacity`].
-    pub evictions: u64,
-    /// Total fuel spent across all jobs.
-    pub fuel_spent: u64,
-    /// Shard sweeps that stepped at least one job.
-    pub sweeps: u64,
-    /// Fuel slices executed by a worker on a shard outside its home
-    /// stripe (cross-shard work stealing).
-    pub steals: u64,
-    /// Times a waiter or idle worker parked on a condvar instead of
-    /// spinning (each park is condvar- or timeout-bounded).
-    pub parked: u64,
-    /// Jobs answered `Yes` (unrestricted implication).
-    pub yes: u64,
-    /// Jobs answered `No`.
-    pub no: u64,
-    /// Jobs answered `Unknown`.
-    pub unknown: u64,
-    /// Cache hits served by an entry replayed from the persistence log —
-    /// the warm-restart signal (a subset of
-    /// [`ServiceStats::cache_hits`]).
-    pub warm_hits: u64,
-    /// Failed persistence-log appends (each one also healed the log back
-    /// to a record boundary; enough consecutive failures degrade the log
-    /// to read-only in-memory mode). Opening an unusable log at startup
-    /// counts one.
-    pub persist_errors: u64,
-    /// Submissions a front end bounced at its overload bound instead of
-    /// scheduling (`typedtd-sockd --max-inflight`; counted via
-    /// [`ImplicationClient::note_shed`], so every ledger reports it
-    /// uniformly).
-    pub shed: u64,
-    /// Submissions broken down by the goal's surface dependency class
-    /// (indexed by [`DependencyClass::index`]). The class is the
-    /// submitter's tag ([`QuerySpec::goal_class`]); untagged queries
-    /// default to the goal's normal-form shape (td or egd).
-    pub class_submitted: [u64; DependencyClass::COUNT],
-    /// Cache hits per goal class (same indexing as
-    /// [`ServiceStats::class_submitted`]).
-    pub class_cache_hits: [u64; DependencyClass::COUNT],
-    /// Cache misses (scheduled computations) per goal class.
-    pub class_cache_misses: [u64; DependencyClass::COUNT],
-    /// Scheduled computations by the fragment route the classifier chose
-    /// (indexed by [`RouteClass::index`]): `terminating` jobs run the
-    /// chase alone under unbounded budgets, `linear`/`guarded` are
-    /// observational detections, `dovetail` is the general-case default.
-    /// All zero when [`ServiceConfig::classify`] is off; per-query decide
-    /// overrides also bypass routing.
-    pub class_routed: [u64; RouteClass::COUNT],
-    /// Scheduled computations that joined a shared Σ-group saturation
-    /// instead of running their own chase
-    /// ([`ServiceConfig::group`]).
-    pub grouped: u64,
-    /// Shared group saturation chases actually started — the savings
-    /// denominator: `grouped` members were served by this many chases.
-    pub group_chases: u64,
-    /// Group members that fell back to an individual chase after the
-    /// shared saturation exhausted its budget without settling their
-    /// goal.
-    pub group_fallbacks: u64,
-}
-
-impl ServiceStats {
-    /// Fraction of cache lookups that hit: `hits / (hits + misses)`.
-    /// Coalesced submissions and the goal-in-Σ fast path count as neither
-    /// (they never probed a finished entry). `0.0` before any lookup.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let lookups = self.cache_hits + self.cache_misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / lookups as f64
-        }
-    }
-
-    /// [`ServiceStats::cache_hit_rate`] restricted to one goal class.
-    /// `0.0` before any lookup of that class.
-    pub fn class_hit_rate(&self, class: DependencyClass) -> f64 {
-        let i = class.index();
-        let lookups = self.class_cache_hits[i] + self.class_cache_misses[i];
-        if lookups == 0 {
-            0.0
-        } else {
-            self.class_cache_hits[i] as f64 / lookups as f64
-        }
-    }
 }
 
 /// One query, fully specified: the immutable `(Σ, σ)` instance plus its
@@ -647,9 +528,10 @@ struct GroupMember {
     fuel: u64,
     /// The settled decision, once reached via the shared chase.
     done: Option<Decision>,
-    /// `ServiceStats::group_fallbacks`, counted at the moment the
-    /// fallback is installed.
-    fallbacks: Arc<AtomicU64>,
+    /// The service's counters: `group_fallbacks` is counted at the
+    /// moment the fallback is installed, whatever the member's later
+    /// fate.
+    counters: Arc<Counters>,
 }
 
 impl Drop for GroupMember {
@@ -737,7 +619,7 @@ impl GroupMember {
                 drop(guard);
                 let (sigma, goal, pool, dcfg) =
                     self.spec.take().expect("fallback installed at most once");
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
+                self.counters.group_fallbacks.fetch_add(1, Ordering::Relaxed);
                 self.fallback = Some(Box::new(DecideTask::new(sigma, goal, pool, dcfg)));
                 DecideStatus::Pending
             }
@@ -907,40 +789,6 @@ struct ShardCell {
     cv: Condvar,
 }
 
-#[derive(Default)]
-struct AtomicStats {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    cache_hits: AtomicU64,
-    goal_in_sigma: AtomicU64,
-    coalesced: AtomicU64,
-    cache_misses: AtomicU64,
-    verify_rejects: AtomicU64,
-    expired: AtomicU64,
-    cancelled: AtomicU64,
-    retired: AtomicU64,
-    evictions: AtomicU64,
-    fuel_spent: AtomicU64,
-    sweeps: AtomicU64,
-    steals: AtomicU64,
-    parked: AtomicU64,
-    yes: AtomicU64,
-    no: AtomicU64,
-    unknown: AtomicU64,
-    warm_hits: AtomicU64,
-    persist_errors: AtomicU64,
-    shed: AtomicU64,
-    class_submitted: [AtomicU64; DependencyClass::COUNT],
-    class_cache_hits: [AtomicU64; DependencyClass::COUNT],
-    class_cache_misses: [AtomicU64; DependencyClass::COUNT],
-    class_routed: [AtomicU64; RouteClass::COUNT],
-    grouped: AtomicU64,
-    group_chases: AtomicU64,
-    /// Shared with every [`GroupMember`] so the fallback is counted at
-    /// the moment it is installed, whatever the member's later fate.
-    group_fallbacks: Arc<AtomicU64>,
-}
-
 struct Core {
     cfg: ServiceConfig,
     shards: Vec<ShardCell>,
@@ -973,7 +821,8 @@ struct Core {
     /// registry before any entry's state; members stepping a group take
     /// only the state lock, never the registry's.
     groups: Mutex<GroupRegistry>,
-    stats: AtomicStats,
+    /// The counter table's atomics, shared with every [`GroupMember`].
+    stats: Arc<Counters>,
     /// The open answer log (when [`ServiceConfig::persist`] is set and
     /// the file opened); fresh definite answers append through it.
     persist: Option<PersistLog>,
@@ -1031,7 +880,7 @@ impl ImplicationClient {
                     tick: 0,
                     capacity: cfg.cache_capacity.max(1),
                 }),
-                stats: AtomicStats::default(),
+                stats: Arc::default(),
                 persist,
                 telemetry: Telemetry::new(cfg.metrics),
                 cfg,
@@ -1087,38 +936,7 @@ impl ImplicationClient {
     /// individually exact, cross-counter invariants may lag under
     /// concurrent stepping).
     pub fn stats(&self) -> ServiceStats {
-        let s = &self.core.stats;
-        let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        ServiceStats {
-            submitted: ld(&s.submitted),
-            completed: ld(&s.completed),
-            cache_hits: ld(&s.cache_hits),
-            goal_in_sigma: ld(&s.goal_in_sigma),
-            coalesced: ld(&s.coalesced),
-            cache_misses: ld(&s.cache_misses),
-            verify_rejects: ld(&s.verify_rejects),
-            expired: ld(&s.expired),
-            cancelled: ld(&s.cancelled),
-            retired: ld(&s.retired),
-            evictions: ld(&s.evictions),
-            fuel_spent: ld(&s.fuel_spent),
-            sweeps: ld(&s.sweeps),
-            steals: ld(&s.steals),
-            parked: ld(&s.parked),
-            yes: ld(&s.yes),
-            no: ld(&s.no),
-            unknown: ld(&s.unknown),
-            warm_hits: ld(&s.warm_hits),
-            persist_errors: ld(&s.persist_errors),
-            shed: ld(&s.shed),
-            class_submitted: std::array::from_fn(|i| ld(&s.class_submitted[i])),
-            class_cache_hits: std::array::from_fn(|i| ld(&s.class_cache_hits[i])),
-            class_cache_misses: std::array::from_fn(|i| ld(&s.class_cache_misses[i])),
-            class_routed: std::array::from_fn(|i| ld(&s.class_routed[i])),
-            grouped: ld(&s.grouped),
-            group_chases: ld(&s.group_chases),
-            group_fallbacks: ld(&s.group_fallbacks),
-        }
+        self.core.stats.snapshot()
     }
 
     /// Counts one submission a front end bounced at its overload bound
@@ -1135,193 +953,26 @@ impl ImplicationClient {
         self.core.telemetry.snapshot()
     }
 
-    /// The full Prometheus-style text exposition: every [`ServiceStats`]
-    /// counter, the in-flight/cache/queue-depth gauges, and (when
-    /// [`ServiceConfig::metrics`] is on) the latency/queue-wait/run-time/
-    /// fuel histograms. Durations are nanoseconds; histogram buckets are
-    /// powers of two. `typedtd-sockd --metrics PATH` rewrites this
-    /// atomically as the service runs.
-    pub fn metrics_text(&self) -> String {
-        let s = self.stats();
-        let mut x = Exposition::new();
-        x.counter("typedtd_submitted_total", "Queries submitted", s.submitted);
-        x.counter(
-            "typedtd_completed_total",
-            "Leader computations landed",
-            s.completed,
-        );
-        x.counter("typedtd_cache_hits_total", "Answer-cache hits", s.cache_hits);
-        x.counter(
-            "typedtd_goal_in_sigma_total",
-            "Goals answered Yes at submit (goal canonically in Sigma)",
-            s.goal_in_sigma,
-        );
-        x.counter(
-            "typedtd_coalesced_total",
-            "Submissions coalesced onto an in-flight leader",
-            s.coalesced,
-        );
-        x.counter(
-            "typedtd_cache_misses_total",
-            "Submissions that scheduled a new computation",
-            s.cache_misses,
-        );
-        x.counter(
-            "typedtd_verify_rejects_total",
-            "Cached answers rejected by verification",
-            s.verify_rejects,
-        );
-        x.counter(
-            "typedtd_expired_total",
-            "Jobs expired to Unknown (fuel cap)",
-            s.expired,
-        );
-        x.counter("typedtd_cancelled_total", "Jobs cancelled", s.cancelled);
-        x.counter("typedtd_retired_total", "Job slots retired", s.retired);
-        x.counter(
-            "typedtd_evictions_total",
-            "Answer-cache evictions",
-            s.evictions,
-        );
-        x.counter(
-            "typedtd_shed_total",
-            "Submissions bounced at a front-end overload bound",
-            s.shed,
-        );
-        x.counter(
-            "typedtd_fuel_spent_total",
-            "Fuel units consumed by leader computations",
-            s.fuel_spent,
-        );
-        x.counter("typedtd_sweeps_total", "Shard sweeps", s.sweeps);
-        x.counter("typedtd_steals_total", "Cross-shard work steals", s.steals);
-        x.counter(
-            "typedtd_parked_total",
-            "Waiter threads parked on a shard condvar",
-            s.parked,
-        );
-        x.counter("typedtd_answer_yes_total", "Answers of Yes", s.yes);
-        x.counter("typedtd_answer_no_total", "Answers of No", s.no);
-        x.counter(
-            "typedtd_answer_unknown_total",
-            "Answers of Unknown",
-            s.unknown,
-        );
-        x.counter(
-            "typedtd_warm_hits_total",
-            "Cache hits served from a replayed persist log",
-            s.warm_hits,
-        );
-        x.counter(
-            "typedtd_persist_errors_total",
-            "Persist-log append errors (degraded mode)",
-            s.persist_errors,
-        );
-        let by_class = |counts: &[u64; DependencyClass::COUNT]| -> Vec<(String, u64)> {
-            DependencyClass::ALL
-                .iter()
-                .map(|c| (c.as_str().to_string(), counts[c.index()]))
-                .collect()
-        };
-        x.counter_vec(
-            "typedtd_class_submitted_total",
-            "Queries submitted by goal dependency class",
-            "class",
-            &by_class(&s.class_submitted),
-        );
-        x.counter_vec(
-            "typedtd_class_cache_hits_total",
-            "Answer-cache hits by goal dependency class",
-            "class",
-            &by_class(&s.class_cache_hits),
-        );
-        x.counter_vec(
-            "typedtd_class_cache_misses_total",
-            "Scheduled computations by goal dependency class",
-            "class",
-            &by_class(&s.class_cache_misses),
-        );
-        let by_route: Vec<(String, u64)> = RouteClass::ALL
-            .iter()
-            .map(|r| (r.as_str().to_string(), s.class_routed[r.index()]))
-            .collect();
-        x.counter_vec(
-            "typedtd_class_routed_total",
-            "Scheduled computations by classifier fragment route",
-            "class",
-            &by_route,
-        );
-        x.counter(
-            "typedtd_grouped_total",
-            "Computations served by a shared Sigma-group saturation",
-            s.grouped,
-        );
-        x.counter(
-            "typedtd_group_chases_total",
-            "Shared Sigma-group saturation chases started",
-            s.group_chases,
-        );
-        x.counter(
-            "typedtd_group_fallbacks_total",
-            "Group members that fell back to a private chase",
-            s.group_fallbacks,
-        );
-        x.gauge(
-            "typedtd_jobs_inflight",
-            "Jobs currently running, claimed, or coalesced-waiting",
-            self.pending_jobs() as u64,
-        );
-        x.gauge(
-            "typedtd_cache_entries",
-            "Distinct canonical queries currently cached",
-            self.cache_len() as u64,
-        );
-        let depths: Vec<(String, u64)> = self
-            .core
-            .queue_depth
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (i.to_string(), d.load(Ordering::Relaxed) as u64))
-            .collect();
-        x.gauge_vec(
-            "typedtd_queue_depth",
-            "Runnable jobs queued per shard",
-            "shard",
-            &depths,
-        );
-        let t = self.telemetry_snapshot();
-        for (kind, h) in t.latencies() {
-            x.histogram(
-                &format!("typedtd_latency_{}_nanos", kind.as_str()),
-                "Submit-to-settle latency by outcome (ns)",
-                h,
-            );
+    /// Renders every instrument onto `s`: the counters, the gauges, then
+    /// the histogram families (see [`crate::instruments`]).
+    pub fn render(&self, s: &mut impl Surface) {
+        self.stats().render(s);
+        let [inflight, cached, depth] = &GAUGES;
+        s.sample(inflight, GAUGE, None, self.pending_jobs() as u64);
+        s.sample(cached, GAUGE, None, self.cache_len() as u64);
+        for (i, d) in self.core.queue_depth.iter().enumerate() {
+            let depth_i = d.load(Ordering::Relaxed) as u64;
+            s.sample(depth, GAUGE, Some(("shard", &i.to_string())), depth_i);
         }
-        x.histogram(
-            "typedtd_queue_wait_nanos",
-            "Time a leader spent off-CPU between submit and settle (ns)",
-            &t.queue_wait,
-        );
-        x.histogram(
-            "typedtd_run_time_nanos",
-            "Time a leader spent inside fuel slices (ns)",
-            &t.run_time,
-        );
-        x.histogram(
-            "typedtd_fuel_per_job",
-            "Fuel consumed per settled job (0 for cache hits and waiters)",
-            &t.fuel_per_job,
-        );
-        x.histogram(
-            "typedtd_join_build_rows",
-            "Hash-join build-side rows per settled job (chase trigger scans)",
-            &t.join_build_rows,
-        );
-        x.histogram(
-            "typedtd_join_probe_hits",
-            "Hash-join probe-side hits per settled job (chase trigger scans)",
-            &t.join_probe_hits,
-        );
+        self.telemetry_snapshot().render(s);
+    }
+
+    /// The Prometheus text exposition. Durations are nanoseconds;
+    /// histogram buckets are powers of two. `typedtd-sockd --metrics
+    /// PATH` rewrites this atomically as the service runs.
+    pub fn metrics_text(&self) -> String {
+        let mut x = Exposition::new();
+        self.render(&mut x);
         x.finish()
     }
 
@@ -2362,7 +2013,7 @@ impl Core {
             cancel: CancelToken::new(),
             fuel: 0,
             done: None,
-            fallbacks: self.stats.group_fallbacks.clone(),
+            counters: Arc::clone(&self.stats),
         })
     }
 
@@ -2409,16 +2060,16 @@ impl Core {
     /// landed, the queue-wait vs run-time split, and fuel consumed.
     /// No-op when metrics are off (`started` is only stamped when they
     /// are on). Called under the shard lock, before the slot is freed.
-    fn observe_landing(&self, slot: &JobSlot, kind: OutcomeKind) {
+    fn observe_landing(&self, slot: &JobSlot, latency: Hist) {
         let Some(t0) = slot.started else { return };
         let total = t0.elapsed().as_nanos() as u64;
-        self.telemetry.record_latency(kind, total);
-        self.telemetry.record_run_time(slot.run_nanos);
-        self.telemetry
-            .record_queue_wait(total.saturating_sub(slot.run_nanos));
-        self.telemetry.record_fuel(slot.fuel_spent);
-        self.telemetry
-            .record_join(slot.progress.join_build_rows, slot.progress.join_probe_hits);
+        let t = &self.telemetry;
+        t.record(latency, total);
+        t.record(Hist::RunTime, slot.run_nanos);
+        t.record(Hist::QueueWait, total.saturating_sub(slot.run_nanos));
+        t.record(Hist::FuelPerJob, slot.fuel_spent);
+        t.record(Hist::JoinBuildRows, slot.progress.join_build_rows);
+        t.record(Hist::JoinProbeHits, slot.progress.join_probe_hits);
     }
 
     /// Records the landing of a coalesced waiter: it spends no fuel and
@@ -2427,16 +2078,15 @@ impl Core {
     /// leader expired → expired) and a zero fuel sample are recorded.
     fn observe_waiter(&self, slot: &JobSlot, outcome: &JobOutcome) {
         let Some(t0) = slot.started else { return };
-        let kind = if outcome.cancelled {
-            OutcomeKind::Cancelled
+        let latency = if outcome.cancelled {
+            Hist::LatencyCancelled
         } else if outcome.from_cache {
-            OutcomeKind::Hit
+            Hist::LatencyHit
         } else {
-            OutcomeKind::Expired
+            Hist::LatencyExpired
         };
-        self.telemetry
-            .record_latency(kind, t0.elapsed().as_nanos() as u64);
-        self.telemetry.record_fuel(0);
+        self.telemetry.record(latency, t0.elapsed().as_nanos() as u64);
+        self.telemetry.record(Hist::FuelPerJob, 0);
     }
 
     /// Records a submit-time fast-path answer (goal-in-Σ, cache hit):
@@ -2444,8 +2094,8 @@ impl Core {
     fn observe_fast(&self, t0: Option<Instant>) {
         if let Some(t0) = t0 {
             self.telemetry
-                .record_latency(OutcomeKind::Hit, t0.elapsed().as_nanos() as u64);
-            self.telemetry.record_fuel(0);
+                .record(Hist::LatencyHit, t0.elapsed().as_nanos() as u64);
+            self.telemetry.record(Hist::FuelPerJob, 0);
         }
     }
 
@@ -2481,7 +2131,7 @@ impl Core {
             cancelled: false,
         };
         self.record_answer(&outcome);
-        self.observe_landing(&shard.slots[si], OutcomeKind::Miss);
+        self.observe_landing(&shard.slots[si], Hist::LatencyMiss);
         let key = shard.slots[si].key.take();
         let goal_hyp = shard.slots[si].goal_hyp.take();
         if let Some(k) = key {
@@ -2554,12 +2204,12 @@ impl Core {
     fn abort_slot(&self, shard: &mut Shard, slot: u32, outcome: JobOutcome) {
         let si = slot as usize;
         self.record_answer(&outcome);
-        let kind = if outcome.cancelled {
-            OutcomeKind::Cancelled
+        let latency = if outcome.cancelled {
+            Hist::LatencyCancelled
         } else {
-            OutcomeKind::Expired
+            Hist::LatencyExpired
         };
-        self.observe_landing(&shard.slots[si], kind);
+        self.observe_landing(&shard.slots[si], latency);
         if let Some(k) = shard.slots[si].key.take() {
             shard.cache.clear_inflight(&k);
         }

@@ -1,6 +1,7 @@
 //! The zero-dependency telemetry core: fixed-size log-bucketed
-//! histograms with a lock-free record path, mergeable snapshots, and a
-//! Prometheus-style text exposition.
+//! histograms with a lock-free record path, and a Prometheus-style text
+//! exposition. The families recorded, and the names they render under,
+//! are rows of [`crate::instruments`].
 //!
 //! The paper this repository reproduces makes implication undecidable,
 //! so every answer the service gives is fuel-bounded — which makes
@@ -14,9 +15,6 @@
 //! * **Lock-free recording.** [`Histogram::record`] is three `Relaxed`
 //!   `fetch_add`s; concurrent recorders never contend on a lock and
 //!   never lose an increment.
-//! * **Mergeable snapshots.** [`HistogramSnapshot::merge`] is
-//!   element-wise addition — associative and commutative, so per-shard
-//!   or per-process snapshots aggregate in any order.
 //!
 //! A snapshot taken *while* recorders are running is each-counter
 //! atomic but not cross-counter atomic (`count` may momentarily
@@ -24,6 +22,8 @@
 //! recorders quiesce, snapshots are exact — the property tests below
 //! pin both halves of that contract.
 
+use crate::instruments::{Hist, Instrument, Surface, HISTOGRAMS};
+use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -96,8 +96,7 @@ impl Histogram {
     }
 }
 
-/// An owned copy of a [`Histogram`]'s counters; merge snapshots from
-/// many shards/processes with [`HistogramSnapshot::merge`].
+/// An owned copy of a [`Histogram`]'s counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket observation counts (bucket boundaries per
@@ -119,92 +118,14 @@ impl Default for HistogramSnapshot {
     }
 }
 
-impl HistogramSnapshot {
-    /// Element-wise accumulation of `other` into `self` (associative
-    /// and commutative, so shard snapshots fold in any order).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-    }
-
-    /// The smallest bucket upper bound at or above quantile `q` (0..=1)
-    /// of the recorded distribution, or `None` while empty. Quantiles
-    /// from log buckets are bounds, not exact order statistics.
-    pub fn quantile_bound(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= rank {
-                return Some(bucket_upper_bound(i));
-            }
-        }
-        Some(u64::MAX)
-    }
-}
-
-/// Which way a submission left the service — the latency histograms are
-/// split by this, because a cache hit and a fuel-cap expiry have
-/// distributions that mean entirely different things.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OutcomeKind {
-    /// Answered without fresh computation (cache hit, goal-in-Σ
-    /// fast path, coalesced onto a finished leader, warm replay).
-    Hit,
-    /// Computed to a verdict (including honest `Unknown` within fuel).
-    Miss,
-    /// Fuel cap or global budget expired the job.
-    Expired,
-    /// Cancelled (explicitly, or its connection dropped).
-    Cancelled,
-}
-
-impl OutcomeKind {
-    const ALL: [OutcomeKind; 4] = [
-        OutcomeKind::Hit,
-        OutcomeKind::Miss,
-        OutcomeKind::Expired,
-        OutcomeKind::Cancelled,
-    ];
-
-    fn idx(self) -> usize {
-        match self {
-            OutcomeKind::Hit => 0,
-            OutcomeKind::Miss => 1,
-            OutcomeKind::Expired => 2,
-            OutcomeKind::Cancelled => 3,
-        }
-    }
-
-    /// Stable lowercase label (metric/exposition name fragment).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            OutcomeKind::Hit => "hit",
-            OutcomeKind::Miss => "miss",
-            OutcomeKind::Expired => "expired",
-            OutcomeKind::Cancelled => "cancelled",
-        }
-    }
-}
-
-/// The service's histogram families: submit→resolve latency split by
-/// [`OutcomeKind`], queue-wait vs run time for scheduled jobs, and fuel
-/// per job. Disabled (`ServiceConfig::metrics = false`) it records
+/// The histogram families of [`crate::instruments::HISTOGRAMS`]:
+/// submit→resolve latency split by how a submission left the in-flight
+/// set, queue-wait vs run time for scheduled jobs, fuel and hash-join
+/// work per job. Disabled (`ServiceConfig::metrics = false`) it records
 /// nothing — one branch per call is the entire overhead.
 pub struct Telemetry {
     enabled: bool,
-    latency: [Histogram; 4],
-    queue_wait: Histogram,
-    run_time: Histogram,
-    fuel_per_job: Histogram,
-    join_build_rows: Histogram,
-    join_probe_hits: Histogram,
+    hist: [Histogram; Hist::COUNT],
 }
 
 impl Telemetry {
@@ -213,12 +134,7 @@ impl Telemetry {
     pub fn new(enabled: bool) -> Self {
         Self {
             enabled,
-            latency: std::array::from_fn(|_| Histogram::new()),
-            queue_wait: Histogram::new(),
-            run_time: Histogram::new(),
-            fuel_per_job: Histogram::new(),
-            join_build_rows: Histogram::new(),
-            join_probe_hits: Histogram::new(),
+            hist: std::array::from_fn(|_| Histogram::new()),
         }
     }
 
@@ -227,136 +143,53 @@ impl Telemetry {
         self.enabled
     }
 
-    /// Submit→resolve latency for one landed submission.
-    pub fn record_latency(&self, kind: OutcomeKind, nanos: u64) {
+    /// Records one observation of `family`.
+    pub fn record(&self, family: Hist, value: u64) {
         if self.enabled {
-            self.latency[kind.idx()].record(nanos);
-        }
-    }
-
-    /// Time a scheduled job spent waiting (not being stepped).
-    pub fn record_queue_wait(&self, nanos: u64) {
-        if self.enabled {
-            self.queue_wait.record(nanos);
-        }
-    }
-
-    /// Time a scheduled job spent actually being stepped.
-    pub fn record_run_time(&self, nanos: u64) {
-        if self.enabled {
-            self.run_time.record(nanos);
-        }
-    }
-
-    /// Fuel one landed submission consumed.
-    pub fn record_fuel(&self, fuel: u64) {
-        if self.enabled {
-            self.fuel_per_job.record(fuel);
-        }
-    }
-
-    /// Join-phase profile of one landed scheduled job: the hash-join
-    /// build rows and probe hits its chase spent.
-    pub fn record_join(&self, build_rows: u64, probe_hits: u64) {
-        if self.enabled {
-            self.join_build_rows.record(build_rows);
-            self.join_probe_hits.record(probe_hits);
+            self.hist[family as usize].record(value);
         }
     }
 
     /// Snapshots every family at once.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
-            latency: std::array::from_fn(|i| self.latency[i].snapshot()),
-            queue_wait: self.queue_wait.snapshot(),
-            run_time: self.run_time.snapshot(),
-            fuel_per_job: self.fuel_per_job.snapshot(),
-            join_build_rows: self.join_build_rows.snapshot(),
-            join_probe_hits: self.join_probe_hits.snapshot(),
+            hist: std::array::from_fn(|i| self.hist[i].snapshot()),
         }
     }
 }
 
-/// Owned snapshots of every [`Telemetry`] family; mergeable like the
-/// per-family snapshots.
+/// Owned snapshots of every [`Telemetry`] family, indexed by [`Hist`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct TelemetrySnapshot {
-    /// Latency by outcome, indexed like [`OutcomeKind::ALL`] — use
-    /// [`TelemetrySnapshot::latency`] for named access.
-    latency: [HistogramSnapshot; 4],
-    /// Queue-wait distribution (scheduled jobs only), nanoseconds.
-    pub queue_wait: HistogramSnapshot,
-    /// Run-time distribution (scheduled jobs only), nanoseconds.
-    pub run_time: HistogramSnapshot,
-    /// Fuel-per-job distribution (fuel units).
-    pub fuel_per_job: HistogramSnapshot,
-    /// Hash-join build-side rows per scheduled job (chase trigger scans).
-    pub join_build_rows: HistogramSnapshot,
-    /// Hash-join probe-side hits per scheduled job (chase trigger scans).
-    pub join_probe_hits: HistogramSnapshot,
+    hist: [HistogramSnapshot; Hist::COUNT],
 }
 
 impl TelemetrySnapshot {
-    /// The latency histogram for one outcome kind.
-    pub fn latency(&self, kind: OutcomeKind) -> &HistogramSnapshot {
-        &self.latency[kind.idx()]
+    /// The histogram of one family.
+    pub fn get(&self, family: Hist) -> &HistogramSnapshot {
+        &self.hist[family as usize]
+    }
+
+    /// Renders every family onto `s`, in [`Hist`] order.
+    pub fn render(&self, s: &mut impl Surface) {
+        for (row, h) in HISTOGRAMS.iter().zip(&self.hist) {
+            s.histogram(row, h);
+        }
     }
 
     /// Total submissions with a recorded latency, across all outcomes.
     pub fn latency_count(&self) -> u64 {
-        self.latency.iter().map(|h| h.count).sum()
-    }
-
-    /// Element-wise accumulation of `other` into `self`.
-    pub fn merge(&mut self, other: &TelemetrySnapshot) {
-        for (a, b) in self.latency.iter_mut().zip(other.latency.iter()) {
-            a.merge(b);
-        }
-        self.queue_wait.merge(&other.queue_wait);
-        self.run_time.merge(&other.run_time);
-        self.fuel_per_job.merge(&other.fuel_per_job);
-        self.join_build_rows.merge(&other.join_build_rows);
-        self.join_probe_hits.merge(&other.join_probe_hits);
-    }
-
-    /// Iterates `(outcome, histogram)` over the latency families.
-    pub fn latencies(&self) -> impl Iterator<Item = (OutcomeKind, &HistogramSnapshot)> {
-        OutcomeKind::ALL.iter().map(|k| (*k, &self.latency[k.idx()]))
-    }
-
-    /// The compact `key=value` rendering of every family, appended to
-    /// the wire `STATS` text: `h_<family>_count`, `h_<family>_sum`,
-    /// and one `h_<family>_b<i>` per *nonzero* bucket.
-    pub fn stats_text(&self) -> String {
-        let mut out = String::new();
-        let mut fam = |name: &str, h: &HistogramSnapshot| {
-            use std::fmt::Write as _;
-            let _ = write!(out, " h_{name}_count={} h_{name}_sum={}", h.count, h.sum);
-            for (i, b) in h.buckets.iter().enumerate() {
-                if *b > 0 {
-                    let _ = write!(out, " h_{name}_b{i}={b}");
-                }
-            }
-        };
-        for (kind, h) in self.latencies() {
-            fam(&format!("latency_{}", kind.as_str()), h);
-        }
-        fam("queue_wait", &self.queue_wait);
-        fam("run_time", &self.run_time);
-        fam("fuel_per_job", &self.fuel_per_job);
-        fam("join_build_rows", &self.join_build_rows);
-        fam("join_probe_hits", &self.join_probe_hits);
-        out
+        Hist::LATENCY.iter().map(|f| self.get(*f).count).sum()
     }
 }
 
-/// A Prometheus-text-format builder: `# HELP`/`# TYPE` headers,
-/// counters, gauges, and histograms with cumulative `le` buckets.
-/// Metric and label names are the caller's responsibility; values are
-/// written as plain integers/floats.
+/// The Prometheus text format: `# HELP`/`# TYPE` headers, counter and
+/// gauge samples, and histograms with cumulative `le` buckets.
 #[derive(Default)]
 pub struct Exposition {
     out: String,
+    /// The metric whose header was written last.
+    family: &'static str,
 }
 
 impl Exposition {
@@ -365,51 +198,38 @@ impl Exposition {
         Self::default()
     }
 
-    fn header(&mut self, name: &str, help: &str, kind: &str) {
-        use std::fmt::Write as _;
-        let _ = writeln!(self.out, "# HELP {name} {help}");
-        let _ = writeln!(self.out, "# TYPE {name} {kind}");
+    fn header(&mut self, row: &Instrument, kind: &str) {
+        let _ = writeln!(self.out, "# HELP {} {}", row.prom, row.help);
+        let _ = writeln!(self.out, "# TYPE {} {kind}", row.prom);
+        self.family = row.prom;
     }
 
-    /// One monotone counter sample.
-    pub fn counter(&mut self, name: &str, help: &str, value: u64) {
-        use std::fmt::Write as _;
-        self.header(name, help, "counter");
-        let _ = writeln!(self.out, "{name} {value}");
+    /// The accumulated exposition text.
+    pub fn finish(self) -> String {
+        self.out
     }
+}
 
-    /// One gauge sample.
-    pub fn gauge(&mut self, name: &str, help: &str, value: u64) {
-        use std::fmt::Write as _;
-        self.header(name, help, "gauge");
-        let _ = writeln!(self.out, "{name} {value}");
-    }
-
-    /// A counter family with one label: `name{label="v"} value` per
-    /// entry.
-    pub fn counter_vec(&mut self, name: &str, help: &str, label: &str, entries: &[(String, u64)]) {
-        use std::fmt::Write as _;
-        self.header(name, help, "counter");
-        for (lv, value) in entries {
-            let _ = writeln!(self.out, "{name}{{{label}=\"{lv}\"}} {value}");
+impl Surface for Exposition {
+    /// A header before the first of consecutive samples of one metric,
+    /// then `name value` or `name{dimension="label"} value`.
+    fn sample(&mut self, row: &Instrument, kind: &str, label: Option<(&str, &str)>, value: u64) {
+        if self.family != row.prom {
+            self.header(row, kind);
         }
+        let name = row.prom;
+        let _ = match label {
+            Some((k, v)) => writeln!(self.out, "{name}{{{k}=\"{v}\"}} {value}"),
+            None => writeln!(self.out, "{name} {value}"),
+        };
     }
 
-    /// A gauge family with one label: `name{label="v"} value` per entry.
-    pub fn gauge_vec(&mut self, name: &str, help: &str, label: &str, entries: &[(String, u64)]) {
-        use std::fmt::Write as _;
-        self.header(name, help, "gauge");
-        for (lv, value) in entries {
-            let _ = writeln!(self.out, "{name}{{{label}=\"{lv}\"}} {value}");
-        }
-    }
-
-    /// A full histogram family: cumulative `_bucket{le="…"}` samples
-    /// (empty buckets above the last populated one are elided, `+Inf`
-    /// always emitted), then `_sum` and `_count`.
-    pub fn histogram(&mut self, name: &str, help: &str, h: &HistogramSnapshot) {
-        use std::fmt::Write as _;
-        self.header(name, help, "histogram");
+    /// Cumulative `_bucket{le="…"}` samples (empty buckets above the last
+    /// populated one are elided, `+Inf` always emitted), then `_sum` and
+    /// `_count`.
+    fn histogram(&mut self, row: &Instrument, h: &HistogramSnapshot) {
+        self.header(row, "histogram");
+        let name = row.prom;
         let last = h
             .buckets
             .iter()
@@ -428,11 +248,6 @@ impl Exposition {
         let _ = writeln!(self.out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count);
         let _ = writeln!(self.out, "{name}_sum {}", h.sum);
         let _ = writeln!(self.out, "{name}_count {}", h.count);
-    }
-
-    /// The accumulated exposition text.
-    pub fn finish(self) -> String {
-        self.out
     }
 }
 
@@ -545,71 +360,18 @@ mod tests {
         }
     }
 
-    /// Merge is associative and commutative with identity `default()`.
-    #[test]
-    fn merge_is_associative_commutative() {
-        let mk = |seed: u64, n: u64| {
-            let h = Histogram::new();
-            let mut x = seed;
-            for _ in 0..n {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                h.record(x >> (x % 40));
-            }
-            h.snapshot()
-        };
-        let (a, b, c) = (mk(1, 500), mk(2, 700), mk(3, 300));
-        // (a ∪ b) ∪ c == a ∪ (b ∪ c)
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ab_c = ab;
-        ab_c.merge(&c);
-        let mut bc = b;
-        bc.merge(&c);
-        let mut a_bc = a;
-        a_bc.merge(&bc);
-        assert_eq!(ab_c, a_bc, "merge must be associative");
-        // a ∪ b == b ∪ a
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, ba, "merge must be commutative");
-        // identity
-        let mut ai = a;
-        ai.merge(&HistogramSnapshot::default());
-        assert_eq!(ai, a, "default must be the merge identity");
-    }
-
-    /// Quantile bounds: ordered, and exact on a single-bucket load.
-    #[test]
-    fn quantile_bounds_are_ordered() {
-        let h = Histogram::new();
-        for v in [1u64, 2, 4, 8, 16, 1000, 100_000] {
-            for _ in 0..10 {
-                h.record(v);
-            }
-        }
-        let s = h.snapshot();
-        let q50 = s.quantile_bound(0.5).unwrap();
-        let q99 = s.quantile_bound(0.99).unwrap();
-        assert!(q50 <= q99);
-        assert!(HistogramSnapshot::default().quantile_bound(0.5).is_none());
-    }
-
     /// The Prometheus rendering is cumulative, ends with `+Inf`, and
     /// `_count`/`_sum` match the snapshot. The disabled core records
     /// nothing.
     #[test]
     fn exposition_renders_cumulative_buckets() {
         let t = Telemetry::new(true);
-        t.record_latency(OutcomeKind::Miss, 1500);
-        t.record_latency(OutcomeKind::Miss, 3);
-        t.record_fuel(64);
+        t.record(Hist::LatencyMiss, 1500);
+        t.record(Hist::LatencyMiss, 3);
+        t.record(Hist::FuelPerJob, 64);
         let snap = t.snapshot();
         let mut exp = Exposition::new();
-        exp.histogram(
-            "typedtd_latency_miss_nanos",
-            "submit to resolve, computed misses",
-            snap.latency(OutcomeKind::Miss),
-        );
+        exp.histogram(&HISTOGRAMS[Hist::LatencyMiss as usize], snap.get(Hist::LatencyMiss));
         let text = exp.finish();
         assert!(text.contains("# TYPE typedtd_latency_miss_nanos histogram"));
         assert!(text.contains("typedtd_latency_miss_nanos_bucket{le=\"+Inf\"} 2"));
@@ -625,20 +387,21 @@ mod tests {
         assert!(cum_line.ends_with(" 2"), "last finite bucket is cumulative: {cum_line}");
 
         let off = Telemetry::new(false);
-        off.record_latency(OutcomeKind::Hit, 99);
-        off.record_fuel(7);
+        off.record(Hist::LatencyHit, 99);
+        off.record(Hist::FuelPerJob, 7);
         assert_eq!(off.snapshot().latency_count(), 0);
-        assert_eq!(off.snapshot().fuel_per_job.count, 0);
+        assert_eq!(off.snapshot().get(Hist::FuelPerJob).count, 0);
     }
 
-    /// `stats_text` round-trips through the wire `STATS` parser shape
-    /// (`key=value` tokens) and only mentions nonzero buckets.
+    /// The histogram text round-trips through the wire `STATS` parser
+    /// shape (`key=value` tokens) and only mentions nonzero buckets.
     #[test]
     fn stats_text_is_key_value_tokens() {
         let t = Telemetry::new(true);
-        t.record_latency(OutcomeKind::Hit, 10);
-        t.record_queue_wait(5);
-        let text = t.snapshot().stats_text();
+        t.record(Hist::LatencyHit, 10);
+        t.record(Hist::QueueWait, 5);
+        let mut text = String::new();
+        t.snapshot().render(&mut text);
         for tok in text.split_whitespace() {
             let (k, v) = tok.split_once('=').expect("every token is key=value");
             assert!(!k.is_empty());

@@ -373,6 +373,7 @@ fn max_inflight_sheds_with_err_busy() {
         1,
         "shed must land in ServiceStats"
     );
+    assert_eq!(server.client().stats().check(), Ok(()), "ledger identities");
     server.shutdown_now();
     server.join();
 }
@@ -458,6 +459,7 @@ fn persistent_write_failure_degrades_without_affecting_answers() {
         stats.persist_errors > 0,
         "failed appends must be counted: {stats:?}"
     );
+    assert_eq!(stats.check(), Ok(()), "ledger identities");
     // The log on disk is still a valid (empty) prefix — failed appends
     // healed back to the header instead of leaving torn bytes behind.
     let replay = typedtd_service::replay_log(&pc.path).expect("log readable");
@@ -601,5 +603,6 @@ fn corrupted_log_still_feeds_a_verified_cache() {
     }
     let stats = client.stats();
     assert_eq!(stats.verify_rejects, 0, "replayed witnesses must verify: {stats:?}");
+    assert_eq!(stats.check(), Ok(()), "ledger identities");
     let _ = std::fs::remove_file(&path);
 }

@@ -9,14 +9,22 @@
 //! * the latency histograms account for every submission exactly once
 //!   (`Σ latency_*_count == submitted`), the core invariant the whole
 //!   telemetry layer is built on;
-//! * the in-flight gauge is 0 after the shutdown drain.
+//! * the in-flight gauge is 0 after the shutdown drain;
+//! * the three surfaces agree: every instrument-table key (each label,
+//!   for families) appears in a `STATS` reply taken once the workload is
+//!   quiescent and in the `--stats` exit ledger, and every row's
+//!   Prometheus sample in the final exposition equals its ledger value.
 //!
 //! CI runs exactly this test as its "metrics smoke" step.
 
-use std::io::BufRead;
+use std::collections::HashMap;
+use std::io::{BufRead, Read};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
-use typedtd_service::ProtoClient;
+use typedtd_service::{
+    parse_stats_text, HistogramSnapshot, ImplicationClient, Instrument, ProtoClient,
+    ServiceConfig, Surface,
+};
 
 /// Decidable corpus (same shape as `tests/proto.rs`): submitted twice so
 /// the second pass lands as cache hits.
@@ -57,10 +65,22 @@ fn temp_path(tag: &str) -> std::path::PathBuf {
     ))
 }
 
+/// Kills the daemon when a failed assertion ends the test before its
+/// shutdown: the watchdog thread dies with the test process, so without
+/// this a failure leaves `typedtd-sockd` running.
+struct KillOnDrop(Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 /// Spawns `typedtd-sockd` with `args`, waits for the `listening tcp=…`
 /// line, and arms a 120s kill watchdog so a hang fails the test instead
 /// of wedging the suite.
-fn spawn_sockd(args: &[&str]) -> (Child, std::net::SocketAddr) {
+fn spawn_sockd(args: &[&str]) -> (KillOnDrop, std::net::SocketAddr) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_typedtd-sockd"))
         .args(args)
         .stdin(Stdio::null())
@@ -89,7 +109,7 @@ fn spawn_sockd(args: &[&str]) -> (Child, std::net::SocketAddr) {
         .expect("listening line")
         .parse()
         .expect("socket addr");
-    (child, addr)
+    (KillOnDrop(child), addr)
 }
 
 /// Reads a plain (label-free) sample value from Prometheus text.
@@ -104,11 +124,36 @@ fn metric_value(text: &str, name: &str) -> Option<u64> {
     })
 }
 
+/// Collects `(ledger key, Prometheus sample, value)` for every rendered
+/// counter, gauge, and histogram `_count`/`_sum`.
+#[derive(Default)]
+struct Rows(Vec<(String, String, u64)>);
+
+impl Surface for Rows {
+    fn sample(&mut self, row: &Instrument, _kind: &str, label: Option<(&str, &str)>, value: u64) {
+        self.0.push(match label {
+            None => (row.key.to_string(), row.prom.to_string(), value),
+            Some((dim, l)) => (
+                format!("{}_{l}", row.key),
+                format!("{}{{{dim}=\"{l}\"}}", row.prom),
+                value,
+            ),
+        });
+    }
+
+    fn histogram(&mut self, row: &Instrument, h: &HistogramSnapshot) {
+        for (part, v) in [("count", h.count), ("sum", h.sum)] {
+            self.0.push((format!("h_{}_{part}", row.key), format!("{}_{part}", row.prom), v));
+        }
+    }
+}
+
 #[test]
 fn metrics_exposition_end_to_end() {
     let metrics = temp_path("exposition.prom");
     let metrics_str = metrics.to_str().expect("utf-8 temp path").to_string();
-    let (mut child, addr) = spawn_sockd(&["--metrics", &metrics_str, "--drivers", "2"]);
+    let (mut sockd, addr) =
+        spawn_sockd(&["--metrics", &metrics_str, "--drivers", "2", "--stats"]);
     let mut client = ProtoClient::connect_tcp(addr).expect("connect");
 
     // Two passes over the corpus: pass one is all cache misses, pass two
@@ -159,9 +204,24 @@ fn metrics_exposition_end_to_end() {
     assert!(expired_answer.expired, "a 64-fuel cap must expire the divergent chase");
 
     let wire_submissions = (2 * corpus.len() + 2) as u64;
+    // Every answer is in: the workload is quiescent.
+    let stats_reply = client.stats().expect("STATS reply");
     client.shutdown_server().expect("shutdown frame");
-    let status = child.wait().expect("sockd exit");
+    let status = sockd.0.wait().expect("sockd exit");
     assert!(status.success(), "typedtd-sockd must exit cleanly");
+    let mut stderr = String::new();
+    sockd
+        .0
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("read stderr");
+    let ledger: HashMap<String, u64> = stderr
+        .lines()
+        .find(|l| l.starts_with("jobs="))
+        .map(parse_stats_text)
+        .unwrap_or_else(|| panic!("missing --stats ledger in stderr: {stderr}"));
 
     let text = std::fs::read_to_string(&metrics).expect("metrics file");
     let _ = std::fs::remove_file(&metrics);
@@ -245,4 +305,17 @@ fn metrics_exposition_end_to_end() {
     assert!(val("typedtd_expired_total") >= 1);
     assert!(val("typedtd_fuel_spent_total") > 0);
     assert_eq!(val("typedtd_shed_total"), 0);
+
+    // The three surfaces agree on the instrument table.
+    // A fresh in-process client with sockd's default config renders
+    // every row: each counter label and each shard's queue depth.
+    let mut rows = Rows::default();
+    ImplicationClient::new(ServiceConfig::default()).render(&mut rows);
+    for (key, prom, _) in &rows.0 {
+        assert!(stats_reply.contains_key(key), "STATS reply misses {key}: {stats_reply:?}");
+        let logged = *ledger
+            .get(key)
+            .unwrap_or_else(|| panic!("exit ledger misses {key}: {stderr}"));
+        assert_eq!(val(prom), logged, "{prom} disagrees with the ledger's {key}");
+    }
 }

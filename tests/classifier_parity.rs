@@ -137,6 +137,7 @@ fn run_corpus(client: &ImplicationClient, cases: u64) -> Vec<(Answer, Answer, bo
         }
     }
     client.run_to_completion();
+    assert_eq!(client.stats().check(), Ok(()), "ledger identities after the drain");
     jobs.iter()
         .map(|j| match j.poll() {
             JobStatus::Done(o) => (o.implication, o.finite_implication, o.cancelled),
@@ -222,6 +223,7 @@ fn weakly_acyclic_corpus_never_routes_dovetail() {
     }
     assert!(checked >= 40, "corpus too thin: {checked}");
     let s = client.stats();
+    assert_eq!(s.check(), Ok(()), "ledger identities after the drain");
     assert_eq!(
         s.class_routed[typedtd_chase::RouteClass::Dovetail.index()],
         0,
@@ -273,6 +275,7 @@ fn grouped_saturation_agrees_with_per_job_decide() {
         }
     }
     let s = client.stats();
+    assert_eq!(s.check(), Ok(()), "ledger identities after the drain");
     assert!(s.grouped >= 3, "grouping never engaged: {}", s.grouped);
     assert_eq!(s.group_chases, 1, "one Σ-group must chase exactly once");
     assert_eq!(s.group_fallbacks, 0, "terminating group must not fall back");
@@ -330,7 +333,9 @@ fn group_expiry_never_manufactures_definite_answers() {
                 other => panic!("unsettled: {other:?}"),
             })
             .collect();
-        (answers, client.stats())
+        let stats = client.stats();
+        assert_eq!(stats.check(), Ok(()), "ledger identities after the drain");
+        (answers, stats)
     };
     let (grouped, gs) = run(true);
     let (solo, _) = run(false);

@@ -256,6 +256,7 @@ fn soak_differential_tcp_four_clients() {
     let (server, addr) = tcp_server(SockdConfig::default());
     run_soak(4, 2, || ProtoClient::connect_tcp(addr).expect("connect"));
     let served = server.client().stats();
+    assert_eq!(served.check(), Ok(()), "ledger identities after the soak");
     assert!(
         served.cache_hits + served.coalesced > 0,
         "identical cross-connection queries must share work: {served:?}"
@@ -271,6 +272,7 @@ fn soak_differential_unix_smoke() {
     run_soak(2, 1, || {
         ProtoClient::connect_unix(server.unix_path().expect("unix listener")).expect("connect")
     });
+    assert_eq!(server.client().stats().check(), Ok(()), "ledger identities after the soak");
 }
 
 /// PROGRESS streaming differential: one client submits the full corpus

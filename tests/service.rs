@@ -233,6 +233,7 @@ fn concurrent_clients_match_blocking_decide() {
         "the ledger must show the drained in-flight gauge: {}",
         stats_line(&client)
     );
+    assert_eq!(client.stats().check(), Ok(()), "ledger identities after the drain");
     assert!(
         stats_line(&client).contains(" verify_rejects=0"),
         "the ledger must show the verification rejects: {}",
@@ -1069,6 +1070,7 @@ fn cancel_mid_flight_bounds_fuel_and_resolves_waiters() {
         "the ledger must show the drained in-flight gauge: {}",
         stats_line(&client)
     );
+    assert_eq!(client.stats().check(), Ok(()), "ledger identities after the drain");
     let outcome = leader.wait();
     assert!(outcome.cancelled);
     assert_eq!(outcome.implication, Answer::Unknown);
@@ -1134,6 +1136,9 @@ fn detached_waiter_survives_leader_cancel_with_the_answer() {
     };
     assert!(cached.from_cache);
     assert_eq!(client.stats().cache_hits, 1);
+    // The owner's cancel counted `cancelled` but not `completed`: the
+    // case that keeps `completed` a bound, not an identity.
+    assert_eq!(client.stats().check(), Ok(()), "ledger identities after the drain");
 }
 
 /// A parked `wait` wakes on a completion landed by another thread's
@@ -1361,6 +1366,7 @@ fn dropping_the_last_detached_waiter_completes_a_deferred_cancel() {
         "the ledger must show the drained in-flight gauge: {}",
         stats_line(&client)
     );
+    assert_eq!(client.stats().check(), Ok(()), "ledger identities after the drain");
 }
 
 /// Lazy-LRU pinning for Σ-group registry entries: with `cache_capacity =
