@@ -20,7 +20,10 @@
 //! *N concurrent socket clients* over a live Unix-socket `ProtoServer` —
 //! measuring the wire round-trip overhead; answer parity with sequential
 //! `decide` is asserted for every variant, and in full mode the paired
-//! single-client wire overhead is asserted ≤ 2× direct submits.
+//! single-client wire overhead is asserted ≤ 2× direct submits. In
+//! `search_refutation` the finite-model search runs alone over
+//! frontier-shaped queries and counts what it refutes and the attempts it
+//! spent.
 //!
 //! Prints a table by default; with `--json` additionally writes
 //! `BENCH_chase.json`: the host's CPU count, the git revision and the
@@ -41,6 +44,7 @@
 //! Usage: `cargo run --release -p typedtd-bench --bin chase_bench [--json] [--smoke]`
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use typedtd_bench::{
     divergent_saturation_workload, divergent_service_query, egd_cascade_workload,
@@ -48,10 +52,11 @@ use typedtd_bench::{
     shared_sigma_workload, universe, Query,
 };
 use typedtd_chase::{
-    chase_implication, decide, saturate, Answer, ChaseConfig, ChaseRun, DecideConfig, DecideMode,
+    chase_implication, decide, is_counterexample, saturate, Answer, ChaseConfig, ChaseRun,
+    DecideConfig, DecideMode, SearchConfig, SearchTask,
 };
-use typedtd_relational::{Relation, ValuePool};
 use typedtd_dependencies::{DependencyClass, TdOrEgd};
+use typedtd_relational::{Relation, Universe, ValuePool};
 use typedtd_service::{
     parse_query_line, parse_universe_spec, ImplicationClient, JobHandle, JobStatus, PersistConfig,
     QuerySpec, ServiceConfig,
@@ -729,6 +734,112 @@ fn measure_service_mixed_class(samples: usize) -> Record {
     }
 }
 
+/// Frontier-shaped queries for the `search_refutation` row: fds plus one
+/// unary ind asked for an unimplied fd or ind, and successor tds (every
+/// row demands another, so the chase never stops) asked for an egd. Each
+/// has a counterexample of two or three rows. The last line is the
+/// control: Casanova–Fagin–Papadimitriou's query is finitely implied, so
+/// no finite counterexample exists.
+const SEARCH_CORPUS: &[(&str, &str)] = &[
+    ("untyped A B C", "A -> B & [A] <= [C] |= B -> A"),
+    ("untyped A B C D", "A -> B & C -> D & [B] <= [C] |= A -> D"),
+    ("untyped A B C", "A -> B & [A] <= [B] |= [C] <= [A]"),
+    ("untyped A B C D", "B -> C & [D] <= [A] |= [A] <= [D]"),
+    ("untyped A B C D", "AB -> C & [C] <= [D] |= C -> A"),
+    (
+        "untyped A B C",
+        "td [x y z] => y q1 q2 |= egd [x y1 z1 ; x y2 z2] => y1 = y2",
+    ),
+    (
+        "untyped A B C D",
+        "td [x y z w] => x z q w |= egd [x1 y1 z w ; x2 y2 z w] => y1 = y2",
+    ),
+    (
+        "untyped A B C",
+        "td [x y z] => z q y |= egd [x y z1 ; x2 y z2] => z1 = z2",
+    ),
+    ("untyped A B C", "A -> B & [A] <= [B] |= [B] <= [A]"),
+];
+
+/// Times the finite-model search alone (`SearchTask`, default config)
+/// over [`SEARCH_CORPUS`], every goal part of every line. Asserts that
+/// every witness is a counterexample, that every line but the last is
+/// refuted, and that the control ends with no witness. Counters: lines
+/// refuted and the attempts all searches spent.
+fn measure_search_refutation(samples: usize) -> Record {
+    let lines = || -> Vec<(Arc<Universe>, Vec<Query>)> {
+        SEARCH_CORPUS
+            .iter()
+            .map(|(uspec, line)| {
+                let u = parse_universe_spec(uspec).expect("corpus universe");
+                let mut pool = ValuePool::new(u.clone());
+                let (sigma, goal) =
+                    parse_query_line(&u, &mut pool, line).unwrap_or_else(|e| panic!("{line}: {e}"));
+                let mut sigma_normal = Vec::new();
+                for d in &sigma {
+                    sigma_normal.extend(d.try_normalize(&u, &mut pool).expect("corpus sigma"));
+                }
+                let parts = goal
+                    .try_normalize(&u, &mut pool)
+                    .expect("corpus goal")
+                    .into_iter()
+                    .map(|part| (sigma_normal.clone(), part, pool.clone()))
+                    .collect();
+                (u, parts)
+            })
+            .collect()
+    };
+    let (search, (witnesses, attempts)) = time("search", samples, &lines, |lines| {
+        let mut attempts = 0u64;
+        let witnesses: Vec<Vec<Option<Relation>>> = lines
+            .into_iter()
+            .map(|(u, parts)| {
+                parts
+                    .into_iter()
+                    .map(|(sigma, goal, pool)| {
+                        let mut task =
+                            SearchTask::new(sigma, goal, u.clone(), pool, SearchConfig::default());
+                        task.run_to_completion();
+                        attempts += task.attempts_done();
+                        task.finish().0
+                    })
+                    .collect()
+            })
+            .collect();
+        (witnesses, attempts)
+    });
+    for (((_, line), (_, parts)), found) in SEARCH_CORPUS.iter().zip(lines()).zip(&witnesses) {
+        for ((sigma, goal, _), witness) in parts.iter().zip(found) {
+            if let Some(rel) = witness {
+                assert!(
+                    is_counterexample(rel, sigma, goal),
+                    "{line}: witness is no counterexample"
+                );
+            }
+        }
+    }
+    let refuted: Vec<bool> = witnesses
+        .iter()
+        .map(|found| found.iter().any(Option::is_some))
+        .collect();
+    let (control, refutable) = refuted.split_last().expect("nonempty corpus");
+    assert!(
+        !control,
+        "the finitely implied control must end with no witness"
+    );
+    for ((_, line), r) in SEARCH_CORPUS.iter().zip(refutable) {
+        assert!(*r, "the search must refute {line}");
+    }
+    Record {
+        workload: format!("search_refutation/q{}", SEARCH_CORPUS.len()),
+        variants: vec![search],
+        counters: vec![
+            ("refuted", refutable.iter().filter(|r| **r).count()),
+            ("attempts", attempts as usize),
+        ],
+    }
+}
+
 /// Runs the divergent-mix workload (dovetail 1:1) with telemetry on or
 /// off; returns both answer vectors in submission order.
 fn run_telemetry_mix(
@@ -1297,6 +1408,7 @@ fn main() {
             measure_multi_submit(2, 3, 4, 2, 1),
             measure_divergent_mix(2, 2, 3, 1),
             measure_service_mixed_class(1),
+            measure_search_refutation(1),
             // Parity assertions only in smoke: a single tiny sample
             // cannot carry the ≥2× group-speedup floor.
             measure_service_shared_sigma(4, 3, 6, 1, false),
@@ -1342,6 +1454,7 @@ fn main() {
             measure_multi_submit(6, 10, 32, 4, 3),
             measure_divergent_mix(3, 4, 6, 3),
             measure_service_mixed_class(3),
+            measure_search_refutation(9),
             measure_service_shared_sigma(6, 6, 32, 3, true),
             // The two paired floors take many short rounds: more pairs
             // narrow the confidence interval the floors forgive.

@@ -12,6 +12,19 @@
 //! the undecidable gap the paper establishes: for typed tds and pjds no
 //! total procedure can close it.
 //!
+//! **Where the search spends its fuel.** It starts at two values per
+//! column. With one value per column (one shared value when untyped) a
+//! relation holds at most one row, and that row meets every td's
+//! conclusion (the conclusion maps onto the same row) and every egd's
+//! equality (both sides map to the column's one value). Such a relation
+//! satisfies every td and egd, σ included, so it is never a
+//! counterexample. Every other attempt starts from a violation of σ: its
+//! hypothesis rows under a random valuation into the domain, with an egd
+//! goal's two sides kept apart. A counterexample must contain such a
+//! violation, and random rows rarely do; the attempts in between start
+//! from random rows. Whatever the start, a witness is returned only once
+//! [`is_counterexample`] accepts it.
+//!
 //! Like the chase, the randomized search is *resumable*: a [`SearchTask`]
 //! holds the enumeration state (current domain size, remaining restarts,
 //! RNG) and [`SearchTask::step`] runs at most `fuel` repair attempts before
@@ -24,14 +37,17 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
 use typedtd_dependencies::TdOrEgd;
-use typedtd_relational::{FxHashMap, Relation, Tuple, Universe, Value, ValuePool};
+use typedtd_relational::{FxHashMap, Relation, Tuple, Universe, Valuation, Value, ValuePool};
 
 /// Budget for counterexample search.
 #[derive(Clone, Debug)]
 pub struct SearchConfig {
-    /// Largest per-attribute domain size tried.
+    /// Largest per-attribute domain size tried. Sizes run
+    /// `2..=max_domain` (see the module docs for why not 1), so a value
+    /// below 2 finishes the search at once with no witness.
     pub max_domain: usize,
-    /// Random restarts per domain size.
+    /// Restarts per domain size, alternating between the goal's
+    /// hypothesis and random rows as the starting relation.
     pub attempts: usize,
     /// Repair iterations per attempt.
     pub repair_steps: usize,
@@ -52,6 +68,10 @@ impl Default for SearchConfig {
         }
     }
 }
+
+/// The smallest per-attribute domain size that can hold a counterexample
+/// (see the module docs).
+const MIN_DOMAIN: usize = 2;
 
 /// Mints a domain of `k` values per attribute (typed) or `k` shared values
 /// (untyped), returning per-attribute candidate lists.
@@ -107,8 +127,8 @@ pub enum SearchStatus {
 }
 
 /// A resumable randomized counterexample search: the enumeration of
-/// [`random_counterexample`] (domain sizes `1..=max_domain`, `attempts`
-/// seeded restarts each) preemptible at attempt granularity.
+/// [`random_counterexample`] (domain sizes `2..=max_domain`, `attempts`
+/// restarts each) preemptible at attempt granularity.
 ///
 /// The task owns its [`ValuePool`] snapshot (domains are minted from it)
 /// and its RNG, so many searches can be held and interleaved. Stepping a
@@ -202,19 +222,14 @@ impl SearchTask {
         }
     }
 
-    /// Drives the task to completion. Always terminates: the attempt count
-    /// is bounded by `max_domain * attempts`.
+    /// Drives the task to completion. Always terminates: each domain size
+    /// gets at most `attempts` attempts.
     pub fn run_to_completion(&mut self) -> bool {
         loop {
             if let SearchStatus::Done(found) = self.step(64) {
                 return found;
             }
         }
-    }
-
-    /// Attempts executed so far count toward this total before exhaustion.
-    pub fn attempts_budget(&self) -> usize {
-        self.cfg.max_domain * self.cfg.attempts
     }
 
     /// Repair attempts executed so far (the task's fuel meter).
@@ -233,15 +248,17 @@ impl SearchTask {
         (found, self.pool)
     }
 
-    /// One seeded restart (minting the next domain when the previous size
-    /// is out of attempts).
+    /// One restart (minting the next domain when the previous size
+    /// is out of attempts). The even-numbered attempts of each size start
+    /// from the goal's hypothesis, the odd-numbered ones from random rows.
     fn attempt_once(&mut self) {
         if self.attempts_left == 0 {
-            if self.k >= self.cfg.max_domain {
+            let next = (self.k + 1).max(MIN_DOMAIN);
+            if next > self.cfg.max_domain {
                 self.found = Some(None);
                 return;
             }
-            self.k += 1;
+            self.k = next;
             self.domain = make_domain(&self.universe, &mut self.pool, self.k);
             self.attempts_left = self.cfg.attempts;
             if self.attempts_left == 0 {
@@ -249,9 +266,16 @@ impl SearchTask {
                 return;
             }
         }
+        let from_goal = (self.cfg.attempts - self.attempts_left).is_multiple_of(2);
         self.attempts_left -= 1;
         self.attempts_done += 1;
-        if let Some(rel) = attempt(
+        let start = if from_goal {
+            goal_rows(&self.goal, &self.universe, &self.domain, &mut self.rng)
+        } else {
+            random_rows(&self.universe, &self.domain, &mut self.rng)
+        };
+        if let Some(rel) = repair(
+            start,
             &self.sigma,
             &self.goal,
             &self.universe,
@@ -264,7 +288,65 @@ impl SearchTask {
     }
 }
 
-fn attempt(
+/// Between one and `2k` rows of random domain values.
+fn random_rows(universe: &Arc<Universe>, domain: &[Vec<Value>], rng: &mut StdRng) -> Relation {
+    let k = domain[0].len();
+    let n_rows = rng.random_range(1..=2 * k);
+    let mut rel = Relation::new(universe.clone());
+    for _ in 0..n_rows {
+        rel.insert(Tuple::new(
+            (0..universe.width())
+                .map(|i| domain[i][rng.random_range(0..k)])
+                .collect(),
+        ));
+    }
+    rel
+}
+
+/// The goal's hypothesis rows under a random valuation into `domain`: the
+/// same variable gets the same value, and an egd goal's two sides get
+/// distinct values.
+fn goal_rows(
+    goal: &TdOrEgd,
+    universe: &Arc<Universe>,
+    domain: &[Vec<Value>],
+    rng: &mut StdRng,
+) -> Relation {
+    let k = domain[0].len();
+    let mut alpha = Valuation::new();
+    let hypothesis = match goal {
+        TdOrEgd::Td(t) => t.hypothesis(),
+        TdOrEgd::Egd(e) => {
+            // A typed egd equates values of one column, and untyped columns
+            // share one domain list, so distinct indices are distinct
+            // values; `k >= MIN_DOMAIN` leaves room for two.
+            let column = |v: Value| {
+                e.hypothesis()
+                    .iter()
+                    .find_map(|row| row.values().iter().position(|&x| x == v))
+                    .expect("egd sides occur in the hypothesis")
+            };
+            let a = rng.random_range(0..k);
+            let b = (a + rng.random_range(1..k)) % k;
+            alpha.bind(e.left(), domain[column(e.left())][a]);
+            alpha.bind(e.right(), domain[column(e.right())][b]);
+            e.hypothesis()
+        }
+    };
+    for row in hypothesis {
+        for (i, &v) in row.values().iter().enumerate() {
+            if alpha.get(v).is_none() {
+                alpha.bind(v, domain[i][rng.random_range(0..k)]);
+            }
+        }
+    }
+    Relation::from_rows(universe.clone(), alpha.apply_rows(hypothesis))
+}
+
+/// Repairs `rel` toward a model of `sigma` over `domain` and returns it if
+/// it ends as a counterexample to `goal`.
+fn repair(
+    mut rel: Relation,
     sigma: &[TdOrEgd],
     goal: &TdOrEgd,
     universe: &Arc<Universe>,
@@ -272,18 +354,7 @@ fn attempt(
     cfg: &SearchConfig,
     rng: &mut StdRng,
 ) -> Option<Relation> {
-    let width = universe.width();
     let k = domain[0].len();
-    let n_rows = rng.random_range(1..=(2 * k).max(2));
-    let mut rel = Relation::new(universe.clone());
-    for _ in 0..n_rows {
-        rel.insert(Tuple::new(
-            (0..width)
-                .map(|i| domain[i][rng.random_range(0..k)])
-                .collect(),
-        ));
-    }
-
     for _ in 0..cfg.repair_steps {
         if rel.len() > cfg.max_rows {
             return None;
@@ -337,7 +408,125 @@ fn attempt(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use typedtd_dependencies::{egd_from_names, td_from_names};
+    use typedtd_dependencies::{egd_from_names, parse_dependency, td_from_names, Egd, Td};
+    use typedtd_relational::AttrId;
+
+    /// A random td or egd over `u`: one to three hypothesis rows drawn from
+    /// three variables per column (shared across columns when untyped), a
+    /// td conclusion mixing hypothesis variables with existentials, or an
+    /// egd equating two hypothesis values (of one column when typed).
+    fn random_dep(u: &Arc<Universe>, pool: &mut ValuePool, rng: &mut StdRng) -> TdOrEgd {
+        let width = u.width();
+        let hypothesis: Vec<Tuple> = (0..rng.random_range(1..=3usize))
+            .map(|_| {
+                Tuple::new(
+                    (0..width)
+                        .map(|i| {
+                            let name = format!("v{}", rng.random_range(0..3usize));
+                            pool.for_attr(AttrId(i as u16), &name)
+                        })
+                        .collect(),
+                )
+            })
+            .collect();
+        let pick = |rng: &mut StdRng, column: usize| {
+            hypothesis[rng.random_range(0..hypothesis.len())].values()[column]
+        };
+        if rng.random_range(0..2u32) == 0 {
+            let conclusion = Tuple::new(
+                (0..width)
+                    .map(|i| {
+                        if rng.random_range(0..2u32) == 0 {
+                            pick(rng, i)
+                        } else {
+                            pool.fresh(Some(AttrId(i as u16)), "e")
+                        }
+                    })
+                    .collect(),
+            );
+            TdOrEgd::Td(Td::new(u.clone(), conclusion, hypothesis))
+        } else {
+            let left_col = rng.random_range(0..width);
+            let right_col = if u.is_typed() {
+                left_col
+            } else {
+                rng.random_range(0..width)
+            };
+            let (left, right) = (pick(rng, left_col), pick(rng, right_col));
+            TdOrEgd::Egd(Egd::new(u.clone(), left, right, hypothesis))
+        }
+    }
+
+    #[test]
+    fn one_value_per_column_satisfies_every_td_and_egd() {
+        // Why the search starts at two values per column: over one value
+        // per column the only non-empty relation is a single row, and it
+        // satisfies any td or egd, so it refutes nothing.
+        let mut rng = StdRng::seed_from_u64(1982);
+        for u in [
+            Universe::typed(vec!["A", "B", "C", "D"]),
+            Universe::untyped_abc(),
+        ] {
+            let mut pool = ValuePool::new(u.clone());
+            let domain = make_domain(&u, &mut pool, 1);
+            let row = Relation::from_rows(
+                u.clone(),
+                [Tuple::new(domain.iter().map(|d| d[0]).collect())],
+            );
+            for _ in 0..500 {
+                let dep = random_dep(&u, &mut pool, &mut rng);
+                assert!(dep.satisfied_by(&row), "{dep:?} fails on {row:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn sizes_below_two_finish_without_an_attempt() {
+        let u = Universe::untyped_abc();
+        let mut p = ValuePool::new(u.clone());
+        let goal = td_from_names(&u, &mut p, &[&["x", "y", "z"]], &["y", "x", "z"]);
+        for max_domain in [0, 1] {
+            let cfg = SearchConfig {
+                max_domain,
+                ..Default::default()
+            };
+            let mut task = SearchTask::new(
+                Vec::new(),
+                TdOrEgd::Td(goal.clone()),
+                u.clone(),
+                p.clone(),
+                cfg,
+            );
+            assert_eq!(task.step(1), SearchStatus::Done(false));
+            assert_eq!(task.attempts_done(), 0);
+        }
+    }
+
+    #[test]
+    fn finitely_implied_cfp_query_has_no_witness() {
+        // Casanova–Fagin–Papadimitriou: in a finite relation `A -> B` gives
+        // |B| <= |A| and `[A] <= [B]` gives |A| <= |B|, so A and B hold the
+        // same values and `[B] <= [A]` follows. No finite counterexample
+        // exists, whatever the seeding tries.
+        let u = Universe::untyped(vec!["A", "B", "C"]);
+        let mut p = ValuePool::new(u.clone());
+        let mut parse = |spec: &str| {
+            parse_dependency(&u, &mut p, spec)
+                .expect("parses")
+                .normalize(&u, &mut p)
+        };
+        let mut sigma = parse("A -> B");
+        sigma.extend(parse("[A] <= [B]"));
+        let goal = parse("[B] <= [A]").pop().expect("one td");
+        let cfg = SearchConfig {
+            max_domain: 5,
+            attempts: 128,
+            ..Default::default()
+        };
+        let mut task = SearchTask::new(sigma, goal, u.clone(), p, cfg);
+        assert_eq!(task.step(usize::MAX), SearchStatus::Done(false));
+        assert_eq!(task.attempts_done(), 4 * 128);
+    }
 
     #[test]
     fn mvd_does_not_imply_fd() {

@@ -611,9 +611,19 @@ impl Write for ProtoStream {
     }
 }
 
-/// How often an idle connection or driver re-checks for new work or the
-/// shutdown flag. Answer latency and shutdown latency are bounded by it.
+/// How often an idle connection, or a driver whose in-flight jobs are all
+/// claimed elsewhere, re-checks for new work or the shutdown flag. Answer
+/// latency is bounded by it. A driver with nothing in flight blocks
+/// instead, until a submission or shutdown wakes it.
 const POLL_INTERVAL: Duration = Duration::from_micros(200);
+
+/// The longest an idle accept loop sleeps between polls; its sleep starts
+/// at [`POLL_INTERVAL`] and doubles while nothing connects, and shutdown
+/// unparks it. It bounds the delay of a connection to an idle server.
+/// Blocking in `accept` instead would need a wakeup that reaches the
+/// listener, and a connection to a Unix socket whose file was removed
+/// never arrives.
+const ACCEPT_IDLE_MAX: Duration = Duration::from_millis(50);
 
 /// Server configuration: the shared service plus how many dedicated
 /// scheduler driver threads the server runs. Drivers guarantee progress
@@ -660,6 +670,20 @@ struct ServerCore {
     max_inflight: Option<usize>,
     /// Shutdown drain budget (see [`SockdConfig::drain_sweeps`]).
     drain_sweeps: usize,
+    /// The accept-loop threads, which shutdown unparks.
+    acceptors: Mutex<Vec<std::thread::Thread>>,
+}
+
+impl ServerCore {
+    /// Trips the shutdown flag and wakes the drivers blocked waiting for
+    /// work and the accept loops sleeping between polls.
+    fn shut_down(&self) {
+        self.shutdown.store(true, Ordering::Relaxed);
+        self.client.wake_idle();
+        for t in self.acceptors.lock().expect("acceptor list").iter() {
+            t.unpark();
+        }
+    }
 }
 
 /// A running `typedtd-sockd` server: one shared [`ImplicationClient`],
@@ -696,6 +720,7 @@ impl ProtoServer {
             accepted: AtomicU64::new(0),
             max_inflight: cfg.max_inflight,
             drain_sweeps: cfg.drain_sweeps,
+            acceptors: Mutex::new(Vec::new()),
         });
         let conn_threads = Arc::new(Mutex::new(Vec::new()));
         let mut threads = Vec::new();
@@ -769,7 +794,7 @@ impl ProtoServer {
     /// Accept loops stop, connections disconnect at their next poll
     /// tick, drivers exit.
     pub fn shutdown_now(&self) {
-        self.core.shutdown.store(true, Ordering::Relaxed);
+        self.core.shut_down();
     }
 
     /// Waits until the server has shut down (flag tripped by a client's
@@ -824,12 +849,20 @@ fn accept_loop(
     conns: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
     mut accept: impl FnMut() -> io::Result<ProtoStream>,
 ) {
+    // Registered before the first flag check, so a shutdown either sees
+    // this thread to unpark or is seen by that check.
+    core.acceptors
+        .lock()
+        .expect("acceptor list")
+        .push(std::thread::current());
+    let mut idle_sleep = POLL_INTERVAL;
     loop {
         if core.shutdown.load(Ordering::Relaxed) {
             return;
         }
         match accept() {
             Ok(stream) => {
+                idle_sleep = POLL_INTERVAL;
                 core.accepted.fetch_add(1, Ordering::Relaxed);
                 let core = Arc::clone(core);
                 let handle = std::thread::spawn(move || serve_conn(&core, stream));
@@ -842,7 +875,8 @@ fn accept_loop(
                 list.push(handle);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
+                std::thread::park_timeout(idle_sleep);
+                idle_sleep = (idle_sleep * 2).min(ACCEPT_IDLE_MAX);
             }
             // A connection that reset before we accepted it (routine
             // under load) must not kill the listener — only genuinely
@@ -859,22 +893,22 @@ fn accept_loop(
     }
 }
 
-/// One scheduler driver: sweeps all shards; sleeps briefly when nothing
-/// is runnable. Connections never drive the scheduler, so answer
-/// latency is `POLL_INTERVAL`-bounded, not submission-gated.
+/// One scheduler driver: sweeps all shards; sleeps `POLL_INTERVAL` when
+/// jobs are in flight but none is runnable, and blocks until a submission
+/// or shutdown when none is in flight, so an idle server spends no CPU.
 fn driver_loop(core: &ServerCore) {
-    loop {
-        if core.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
+    let stopping = || core.shutdown.load(Ordering::Relaxed);
+    while !stopping() {
         if core.client.tick() {
             // A yield between productive sweeps keeps connection and
             // client threads schedulable on few-core hosts — a driver
             // that spins through uncontended shard locks never enters
             // the kernel and can otherwise monopolize a core.
             std::thread::yield_now();
-        } else {
+        } else if core.client.pending_jobs() > 0 {
             std::thread::sleep(POLL_INTERVAL);
+        } else {
+            core.client.wait_for_work(stopping);
         }
     }
 }
@@ -1214,7 +1248,7 @@ fn handle_frame(
             ConnControl::Continue
         }
         Opcode::Shutdown => {
-            core.shutdown.store(true, Ordering::Relaxed);
+            core.shut_down();
             progress_frame(frame.corr, ProgressKind::Bye, "shutting down").encode_into(out);
             ConnControl::Close
         }

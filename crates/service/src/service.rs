@@ -1005,6 +1005,26 @@ impl ImplicationClient {
         self.core.inflight.load(Ordering::Relaxed)
     }
 
+    /// Blocks until a job is in flight or `stop` reads true. A submission
+    /// wakes it; whoever makes `stop` true must call
+    /// [`ImplicationClient::wake_idle`] afterwards. The relaxed `inflight`
+    /// read is ordered by the idle mutex: a submitter increments it before
+    /// notifying under that mutex.
+    pub(crate) fn wait_for_work(&self, stop: impl Fn() -> bool) {
+        let core = &*self.core;
+        let mut guard = core.idle.lock().expect("idle lock");
+        while core.inflight.load(Ordering::Relaxed) == 0 && !stop() {
+            guard = core.idle_cv.wait(guard).expect("idle lock");
+        }
+    }
+
+    /// Wakes every thread in [`ImplicationClient::wait_for_work`] to
+    /// re-check its stop condition.
+    pub(crate) fn wake_idle(&self) {
+        let _guard = self.core.idle.lock().expect("idle lock");
+        self.core.idle_cv.notify_all();
+    }
+
     /// Job slots currently allocated (pending or finished-but-unretired).
     /// Retiring handles drives this back to 0 — the leak the v1 service
     /// could never recover.
@@ -1264,6 +1284,9 @@ impl ImplicationClient {
         let handle = self.handle(shard_idx, slot, &shard);
         drop(shard);
         // Queue transition: wake anything parked on this shard or idling.
+        // Under the idle mutex, so a thread in `wait_for_work` cannot miss
+        // the job between its check and its wait.
+        let _idle = core.idle.lock().expect("idle lock");
         self.notify_shard(shard_idx);
         handle
     }

@@ -1,8 +1,8 @@
 //! Metrics-exposition smoke: run a real `typedtd-sockd --metrics PATH`,
 //! drive a small mixed workload over the wire (cold misses, cache hits,
-//! and a fuel-capped divergent query streamed with live `PROGRESS`
-//! frames), shut the server down, and assert the final exposition is
-//! complete and sane:
+//! an expired divergent query, and a long-running query streamed with
+//! live `PROGRESS` frames), shut the server down, and assert the final
+//! exposition is complete and sane:
 //!
 //! * every counter, gauge, and histogram family the service exports is
 //!   present in the file;
@@ -42,14 +42,21 @@ fn corpus() -> Vec<(String, String)> {
     .collect()
 }
 
-/// Divergent successor-td query: the chase grows forever, so only a
-/// budget settles it (to an honest `Unknown`) — which keeps it
-/// computing long enough to stream `Running` frames. A variant with a
-/// wider universe (distinct cache key, so it never coalesces) is
-/// submitted under a tiny fuel cap to force the *expired* path.
-const DIVERGENT_UNIVERSE: &str = "untyped A' B' C'";
-const DIVERGENT_QUERY: &str =
-    "td [x y z] => y q1 q2 |= egd [x y1 z1 ; x y2 z2] => y1 = y2";
+/// Casanova–Fagin–Papadimitriou's query: finitely implied but not
+/// implied. The chase grows until its budget runs out and no finite
+/// counterexample exists for the search to find, so it settles to an
+/// honest `Unknown` only after hundreds of fuel units. The 32 columns it
+/// does not mention make each unit dearer: a release build takes tens of
+/// milliseconds, many times the few milliseconds a connection loop
+/// iteration can wait in its read, so progress is sampled mid-run.
+const STREAMING_QUERY: &str = "A -> B & [A] <= [B] |= [B] <= [A]";
+
+fn streaming_universe() -> String {
+    let extra: Vec<String> = (0..32).map(|i| format!("C{i}")).collect();
+    format!("untyped A B {}", extra.join(" "))
+}
+/// Divergent successor-td query under a tiny fuel cap: the cap bites in
+/// the chase, before any search starts, to force the *expired* path.
 const EXPIRE_UNIVERSE: &str = "untyped A' B' C' D'";
 const EXPIRE_QUERY: &str =
     "td [x y z p3] => y q1 q2 q3 |= egd [x y1 z1 v3 ; x y2 z2 w3] => y1 = y2";
@@ -170,30 +177,38 @@ fn metrics_exposition_end_to_end() {
         }
     }
 
-    // A second divergent shape under a tiny fuel cap: the cap bites long
-    // before the chase/search budgets do, so this one lands as an
-    // *expired* Unknown and populates the expired latency family.
+    // A divergent shape under a tiny fuel cap: the cap bites long before
+    // the chase/search budgets do, so this one lands as an *expired*
+    // Unknown and populates the expired latency family.
     let expire_corr = client
         .submit(EXPIRE_UNIVERSE, EXPIRE_QUERY, Some(64))
         .expect("submit expire ballast");
 
-    // One divergent fuel-capped query with progress streaming: ≥1 live
-    // `Running` frame, strictly fuel-monotone. The 4096 cap is generous
-    // on purpose — the dovetailed finite-model search refutes the query
-    // well inside it, and that long natural run is what crosses enough
-    // progress ticks to stream reliably.
+    // One fuel-capped query with progress streaming: ≥1 live `Running`
+    // frame, strictly fuel-monotone. The daemon runs sequential mode: the
+    // chase spends its budget, then the search exhausts its attempts,
+    // all well inside the 4096 cap. That long natural run is what
+    // crosses enough progress ticks to stream reliably.
     let corr = client
-        .submit_with_progress(DIVERGENT_UNIVERSE, DIVERGENT_QUERY, Some(4096))
+        .submit_with_progress(&streaming_universe(), STREAMING_QUERY, Some(4096))
         .expect("submit streaming");
     let mut fuels: Vec<u64> = Vec::new();
     let answer = client
         .wait_answer_with_progress(corr, |up| fuels.push(up.fuel))
         .expect("streamed answer");
-    assert_eq!(answer.implication, typedtd_chase::Answer::No);
+    assert_eq!(answer.implication, typedtd_chase::Answer::Unknown);
+    assert_eq!(answer.finite_implication, typedtd_chase::Answer::Unknown);
     assert!(!answer.cancelled, "nothing cancelled the streamed query");
+    // The wire flags every uncancelled `Unknown` as expired; the decide
+    // budgets ran out here, not the cap.
+    assert!(answer.expired, "an uncancelled Unknown reads expired");
+    assert!(
+        answer.fuel_spent < 4096,
+        "budgets, not the cap, settle the streamed query"
+    );
     assert!(
         !fuels.is_empty(),
-        "a 4096-fuel divergent run must stream at least one Running frame"
+        "a 4096-fuel run must stream at least one Running frame"
     );
     assert!(
         fuels.windows(2).all(|w| w[0] < w[1]),
