@@ -9,12 +9,13 @@
 //! background jobs: the single-owner mode (the only shape the v1
 //! `&mut self` API allowed) pays every background job a fuel slice on
 //! every sweep, while sharded `wait` only steps the shard owning its job.
-//! In `service_divergent_mix` they are *sequential decide mode* vs
-//! *dovetail 1:1* vs *dovetail 3:1* over refutable-but-divergent queries
-//! behind a decidable batch, all fuel-capped: sequential expires to
-//! Unknown, dovetail refutes within the cap. In `service_skewed_shards`
-//! every job is pinned to shard 0 and the variants are *stealing off* vs
-//! *stealing on* vs *balanced routing*. In `service_socket_stream` a
+//! In `service_divergent_mix` they are *sequential decide mode* vs the
+//! *adaptive dovetail* starting at 1:1 and at 3:1 over
+//! refutable-but-divergent queries behind a decidable batch, all
+//! fuel-capped: sequential expires to Unknown, dovetail refutes within
+//! the cap. In `service_skewed_shards` distinct queries are either all
+//! pinned to shard 0, which idle workers steal from, or routed by hash
+//! (*skewed* vs *balanced*). In `service_socket_stream` a
 //! cache-friendly text batch is decided three ways — *direct in-process
 //! client submits* vs *one pipelined `typedtd-proto` socket client* vs
 //! *N concurrent socket clients* over a live Unix-socket `ProtoServer` —
@@ -55,11 +56,11 @@ use typedtd_chase::{
     chase_implication, decide, is_counterexample, saturate, Answer, ChaseConfig, ChaseRun,
     DecideConfig, DecideMode, SearchConfig, SearchTask,
 };
-use typedtd_dependencies::{DependencyClass, TdOrEgd};
-use typedtd_relational::{Relation, Universe, ValuePool};
+use typedtd_dependencies::{DependencyClass, Mvd, TdOrEgd};
+use typedtd_relational::{AttrId, AttrSet, Relation, Universe, ValuePool};
 use typedtd_service::{
-    parse_query_line, parse_universe_spec, ImplicationClient, JobHandle, JobStatus, PersistConfig,
-    QuerySpec, ServiceConfig,
+    parse_query_line, parse_universe_spec, query_parts, ImplicationClient, JobHandle, JobStatus,
+    PersistConfig, QuerySpec, ServiceConfig,
 };
 
 /// One timed variant of a workload: what ran, and the median, min and
@@ -491,10 +492,11 @@ fn run_divergent_mix(
 
 /// The dovetail acceptance scenario: refutable goals behind divergent
 /// chases, all fuel-capped. Sequential mode spends every capped unit on
-/// the chase and expires to Unknown; dovetail answers each query `No`
-/// from the search phase within the same cap. Columns: sequential /
-/// dovetail 1:1 / dovetail 3:1. Decidable foreground answers must agree
-/// across all modes (parity ignoring Unknowns).
+/// the chase and expires to Unknown; the adaptive dovetail answers each
+/// query `No` from the search phase within the same cap. Columns:
+/// sequential / adaptive starting at 1:1 / adaptive starting at 3:1.
+/// Decidable foreground answers must agree across all modes (parity
+/// ignoring Unknowns).
 fn measure_divergent_mix(
     distinct: usize,
     renamings: usize,
@@ -509,11 +511,11 @@ fn measure_divergent_mix(
     let (seq, (seq_fg, seq_div)) = time("sequential", samples, &make, |(fg, dv)| {
         run_divergent_mix(fg, dv, DecideMode::Sequential)
     });
-    let (dov, (dov_fg, dov_div)) = time("dovetail_1to1", samples, &make, |(fg, dv)| {
-        run_divergent_mix(fg, dv, DecideMode::dovetail(1))
+    let (dov, (dov_fg, dov_div)) = time("adaptive_1to1", samples, &make, |(fg, dv)| {
+        run_divergent_mix(fg, dv, DecideMode::adaptive_dovetail(1))
     });
-    let (dov3, (dov3_fg, dov3_div)) = time("dovetail_3to1", samples, &make, |(fg, dv)| {
-        run_divergent_mix(fg, dv, DecideMode::dovetail(3))
+    let (dov3, (dov3_fg, dov3_div)) = time("adaptive_3to1", samples, &make, |(fg, dv)| {
+        run_divergent_mix(fg, dv, DecideMode::adaptive_dovetail(3))
     });
     assert_eq!(seq_fg, dov_fg, "dovetail parity violated on decidable batch");
     assert_eq!(seq_fg, dov3_fg, "dovetail 3:1 parity violated on decidable batch");
@@ -528,7 +530,7 @@ fn measure_divergent_mix(
     for (mode, answers) in [("1:1", &dov_div), ("3:1", &dov3_div)] {
         assert!(
             answers.iter().all(|a| *a == Answer::No),
-            "dovetail {mode} must refute every divergent query within the cap"
+            "adaptive dovetail {mode} must refute every divergent query within the cap"
         );
     }
     Record {
@@ -545,7 +547,7 @@ fn measure_divergent_mix(
 /// independence atoms and inclusion dependencies, written in the batch
 /// surface syntax. The `true`-flagged lines are refutable goals behind a
 /// divergent fd+ind chase (the undecidable regime): fuel-capped, they
-/// expire to Unknown sequentially while any dovetail variant refutes
+/// expire to Unknown sequentially while the adaptive dovetail refutes
 /// them from the finite-model search.
 const MIXED_CLASS_CORPUS: &[(&str, &str, bool)] = &[
     ("A B C", "A -> B & B -> C |= A -> C", false),
@@ -653,11 +655,11 @@ fn run_mixed_class(
 }
 
 /// The heterogeneous-workload acceptance scenario. Asserts, per decide
-/// mode (sequential / dovetail 1:1 / adaptive dovetail):
+/// mode (sequential / adaptive dovetail):
 ///
-/// * decidable answers agree across all three modes, with no Unknowns;
+/// * decidable answers agree across both modes, with no Unknowns;
 /// * the fuel-capped divergent fd+ind queries expire to `Unknown`
-///   sequentially but are refuted (`No`) by both dovetail variants;
+///   sequentially but are refuted (`No`) by the adaptive dovetail;
 /// * per-class cache accounting balances exactly on the dovetail run:
 ///   every class sees `submitted = 2 × parts`, `misses = parts` (round
 ///   one), `hits = parts` (round two), i.e. a 0.50 per-class hit rate.
@@ -671,9 +673,8 @@ fn measure_service_mixed_class(samples: usize) -> Record {
     };
     let mixed = |name, mode| time(name, samples, || (), |()| run_mixed_class(mode));
     let (seq, (seq_dec, seq_div, _)) = mixed("sequential", DecideMode::Sequential);
-    let (dov, (dov_dec, dov_div, dov_stats)) = mixed("dovetail_1to1", DecideMode::dovetail(1));
-    let (ad, (ad_dec, ad_div, _)) = mixed("adaptive_dovetail", DecideMode::adaptive_dovetail(1));
-    assert_eq!(seq_dec, dov_dec, "mixed-class dovetail parity violated");
+    let adaptive = DecideMode::adaptive_dovetail(1);
+    let (ad, (ad_dec, ad_div, ad_stats)) = mixed("adaptive_dovetail", adaptive);
     assert_eq!(seq_dec, ad_dec, "mixed-class adaptive parity violated");
     assert!(
         seq_dec.iter().all(|a| *a != Answer::Unknown),
@@ -683,12 +684,10 @@ fn measure_service_mixed_class(samples: usize) -> Record {
         !seq_div.is_empty() && seq_div.iter().all(|a| *a == Answer::Unknown),
         "sequential must expire every fuel-capped divergent fd+ind query"
     );
-    for (label, answers) in [("dovetail", &dov_div), ("adaptive", &ad_div)] {
-        assert!(
-            answers.iter().all(|a| *a == Answer::No),
-            "{label} must refute every divergent fd+ind query within the cap"
-        );
-    }
+    assert!(
+        ad_div.iter().all(|a| *a == Answer::No),
+        "adaptive must refute every divergent fd+ind query within the cap"
+    );
     let mut classes_seen = 0usize;
     for c in DependencyClass::ALL {
         let i = c.index();
@@ -697,25 +696,25 @@ fn measure_service_mixed_class(samples: usize) -> Record {
         }
         classes_seen += 1;
         assert_eq!(
-            dov_stats.class_submitted[i],
+            ad_stats.class_submitted[i],
             2 * expected[i],
             "class {} submissions",
             c.as_str()
         );
         assert_eq!(
-            dov_stats.class_cache_misses[i],
+            ad_stats.class_cache_misses[i],
             expected[i],
             "class {} round-one misses",
             c.as_str()
         );
         assert_eq!(
-            dov_stats.class_cache_hits[i],
+            ad_stats.class_cache_hits[i],
             expected[i],
             "class {} round-two hits",
             c.as_str()
         );
         assert!(
-            (dov_stats.class_hit_rate(c) - 0.5).abs() < 1e-9,
+            (ad_stats.class_hit_rate(c) - 0.5).abs() < 1e-9,
             "class {} hit rate",
             c.as_str()
         );
@@ -726,7 +725,7 @@ fn measure_service_mixed_class(samples: usize) -> Record {
     );
     Record {
         workload: format!("service_mixed_class/lines{}", MIXED_CLASS_CORPUS.len()),
-        variants: vec![seq, dov, ad],
+        variants: vec![seq, ad],
         counters: vec![
             ("submissions", expected.iter().sum::<u64>() as usize * 2),
             ("classes", classes_seen),
@@ -840,15 +839,15 @@ fn measure_search_refutation(samples: usize) -> Record {
     }
 }
 
-/// Runs the divergent-mix workload (dovetail 1:1) with telemetry on or
-/// off; returns both answer vectors in submission order.
+/// Runs the divergent-mix workload (adaptive dovetail from 1:1) with
+/// telemetry on or off; returns both answer vectors in submission order.
 fn run_telemetry_mix(
     fg: Vec<Query>,
     divergent: Vec<Query>,
     metrics: bool,
 ) -> (Vec<Answer>, Vec<Answer>) {
     let client = ImplicationClient::new(ServiceConfig {
-        decide: divergent_mix_cfg(DecideMode::dovetail(1)),
+        decide: divergent_mix_cfg(DecideMode::adaptive_dovetail(1)),
         metrics,
         ..ServiceConfig::default()
     });
@@ -944,21 +943,49 @@ fn measure_telemetry_overhead(
 /// idle workers reliably wake and steal), small enough to finish fast.
 const SKEW_BALLAST_CAP: u64 = 2048;
 
+/// `n` decidable queries the service really runs: two or three mvds over
+/// a typed five-column universe, asked for a third. Each mvd splits the
+/// columns into three nonempty blocks drawn from `seed`. A draw whose
+/// canonical key repeats an earlier one, or whose goal is an element of
+/// Σ, is redrawn, so no job is answered from the cache or the goal-in-Σ
+/// fast path.
+fn distinct_mvd_queries(n: usize, seed: u64) -> Vec<Query> {
+    use rand::{RngExt, SeedableRng};
+    let u = universe(5);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut seen = std::collections::HashSet::new();
+    let mut out = Vec::with_capacity(n);
+    while out.len() < n {
+        let mut pool = ValuePool::new(u.clone());
+        let members = rng.random_range(2..4usize);
+        let mut deps: Vec<TdOrEgd> = Vec::with_capacity(members + 1);
+        while deps.len() <= members {
+            let block: Vec<usize> = (0..5).map(|_| rng.random_range(0..3usize)).collect();
+            let side = |b| -> AttrSet {
+                (0..5u16).filter(|&c| block[c as usize] == b).map(AttrId).collect()
+            };
+            if (0..3).all(|b| !side(b).is_empty()) {
+                let mvd = Mvd::new(u.clone(), side(0), side(1));
+                deps.push(TdOrEgd::Td(mvd.to_pjd().to_td(&u, &mut pool)));
+            }
+        }
+        let goal = deps.pop().expect("Σ plus a goal were drawn");
+        let parts = query_parts(&deps, &goal);
+        if !parts.sigma_keys.contains(&parts.goal_key) && seen.insert(parts.key) {
+            out.push((deps, goal, pool));
+        }
+    }
+    out
+}
+
 /// Runs a decidable batch plus capped divergent ballast through a
 /// 4-shard, 4-worker client; `pin` forces every job onto shard 0 (the
 /// deliberately skewed assignment). Returns the decidable answers (in
 /// submission order) and the steal count.
-fn run_skewed(
-    queries: Vec<Query>,
-    ballast: Vec<Query>,
-    pin: bool,
-    steal: bool,
-) -> (Vec<Answer>, u64) {
+fn run_skewed(queries: Vec<Query>, ballast: Vec<Query>, pin: bool) -> (Vec<Answer>, u64) {
     let client = ImplicationClient::new(ServiceConfig {
         shards: 4,
         workers: 4,
-        steal,
-        cache: false,
         ..ServiceConfig::default()
     });
     let place = |spec: QuerySpec| if pin { spec.pin_shard(0) } else { spec };
@@ -978,24 +1005,25 @@ fn run_skewed(
         .collect();
     client.run_to_completion();
     assert_ledger(&client);
+    let stats = client.stats();
+    let submitted = (jobs.len() + ballast_jobs.len()) as u64;
+    assert_eq!(stats.cache_misses, submitted, "every skew job must really run");
     let answers = jobs.iter().map(answer_of).collect();
     for b in &ballast_jobs {
         assert_eq!(answer_of(b), Answer::Unknown, "ballast must expire on its cap");
     }
-    (answers, client.stats().steals)
+    (answers, stats.steals)
 }
 
 /// The work-stealing acceptance scenario: every job pinned to shard 0.
-/// Columns: skewed with stealing off (only shard 0's home worker makes
-/// progress — single-worker throughput) / skewed with stealing on (idle
-/// workers steal slices from the deep queue) / the balanced hash-routed
-/// assignment as the reference. Answer parity against sequential
-/// `decide` is asserted for every mode; with stealing on the skewed
+/// Columns: skewed (idle workers steal slices from the deep queue) / the
+/// balanced hash-routed assignment as the reference. Answer parity
+/// against sequential `decide` is asserted for both; the skewed
 /// wall-clock must stay within 1.5× of balanced (asserted outside smoke
 /// mode, where sizes are too small for stable ratios).
 fn measure_skewed_steal(jobs: usize, ballast: usize, samples: usize, assert_ratio: bool) -> Record {
     let make = || {
-        let fg = service_batch_workload(jobs, 1, 2024);
+        let fg = distinct_mvd_queries(jobs, 2024);
         let bal: Vec<Query> = (0..ballast).map(divergent_service_query).collect();
         (fg, bal)
     };
@@ -1006,32 +1034,28 @@ fn measure_skewed_steal(jobs: usize, ballast: usize, samples: usize, assert_rati
             decide(&sigma, &goal, &mut pool, &DecideConfig::default()).implication
         })
         .collect();
-    let (off, (off_answers, off_steals)) = time("skewed_steal_off", samples, &make, |(q, b)| {
-        run_skewed(q, b, true, false)
-    });
-    let (on, (on_answers, on_steals)) = time("skewed_steal_on", samples, &make, |(q, b)| {
-        run_skewed(q, b, true, true)
+    assert!(!reference.contains(&Answer::Unknown), "the skew batch must be decidable");
+    let (skewed, (skewed_answers, steals)) = time("skewed", samples, &make, |(q, b)| {
+        run_skewed(q, b, true)
     });
     let (bal, (bal_answers, _)) = time("balanced", samples, &make, |(q, b)| {
-        run_skewed(q, b, false, true)
+        run_skewed(q, b, false)
     });
-    let (skewed_ns, balanced_ns) = (on.median_ns, bal.median_ns);
-    assert_eq!(reference, off_answers, "steal-off parity violated");
-    assert_eq!(reference, on_answers, "steal-on parity violated");
+    let (skewed_ns, balanced_ns) = (skewed.median_ns, bal.median_ns);
+    assert_eq!(reference, skewed_answers, "skewed parity violated");
     assert_eq!(reference, bal_answers, "balanced parity violated");
-    assert_eq!(off_steals, 0, "stealing disabled must not steal");
-    assert!(on_steals > 0, "skewed assignment must trigger stealing");
+    assert!(steals > 0, "skewed assignment must trigger stealing");
     if assert_ratio {
         assert!(
             skewed_ns as f64 <= 1.5 * balanced_ns as f64,
             "stealing must keep the skewed assignment within 1.5x of balanced \
-             (skewed+steal {skewed_ns}ns vs balanced {balanced_ns}ns)"
+             (skewed {skewed_ns}ns vs balanced {balanced_ns}ns)"
         );
     }
     Record {
         workload: format!("service_skewed_shards/j{jobs}+b{ballast}x4w"),
-        variants: vec![off, on, bal],
-        counters: vec![("jobs", jobs + ballast), ("steals", on_steals as usize)],
+        variants: vec![skewed, bal],
+        counters: vec![("jobs", jobs + ballast), ("steals", steals as usize)],
     }
 }
 

@@ -20,12 +20,13 @@
 //!   appears or its budget runs out, then hand the evolved pool to the
 //!   search — exactly the two phases the blocking [`decide`] historically
 //!   performed, trace-for-trace;
-//! * **Dovetail**: alternate fuel between the chase and the search at a
-//!   configurable ratio, so a *refutable-but-divergent* query (the chase
-//!   never terminates, but a finite counterexample exists) is answered
-//!   `No` from the search without waiting for a chase budget that may be
-//!   astronomically large. This is the textbook dovetailing of the two
-//!   r.e. sets, now *within* one query rather than only across queries.
+//! * **Adaptive dovetail**: alternate fuel between the chase and the
+//!   search, rebalancing the ratio toward whichever procedure progressed,
+//!   so a *refutable-but-divergent* query (the chase never terminates,
+//!   but a finite counterexample exists) is answered `No` from the search
+//!   without waiting for a chase budget that may be astronomically large.
+//!   This is the textbook dovetailing of the two r.e. sets, now *within*
+//!   one query rather than only across queries.
 //!
 //! Every task also carries a [`CancelToken`] shared with its sub-tasks:
 //! tripping it stops the task at the next round/attempt boundary with
@@ -75,20 +76,15 @@ pub enum DecideMode {
     /// historical [`decide`] order, trace-for-trace.
     #[default]
     Sequential,
-    /// Alternate fuel between the chase and the search:
-    /// `chase_ratio` chase rounds per search attempt (clamped to ≥ 1).
-    /// Refutable-but-divergent queries answer from the search phase
-    /// without waiting on a chase that never terminates.
-    Dovetail {
-        /// Chase rounds granted per search attempt.
-        chase_ratio: u32,
-    },
-    /// Like [`DecideMode::Dovetail`], but the ratio adapts at every period
-    /// boundary toward whichever procedure progressed last slice: a chase
-    /// period that merged values or stopped deriving is converging and
-    /// earns a doubled ratio (capped at 8× the initial), while a period of
-    /// pure row growth looks divergent and halves the ratio (floored at 1)
-    /// so the refutation search gets fuel sooner.
+    /// Alternate fuel between the chase and the search, `chase_ratio`
+    /// chase rounds (clamped to ≥ 1) per search attempt at first, so
+    /// refutable-but-divergent queries answer from the search without
+    /// waiting on a chase that never terminates. The ratio adapts at every
+    /// period boundary toward whichever procedure progressed last slice: a
+    /// chase period that merged values or stopped deriving is converging
+    /// and earns a doubled ratio (capped at 8× the initial), while a
+    /// period of pure row growth looks divergent and halves the ratio
+    /// (floored at 1) so the refutation search gets fuel sooner.
     AdaptiveDovetail {
         /// Initial chase rounds per search attempt.
         chase_ratio: u32,
@@ -96,24 +92,9 @@ pub enum DecideMode {
 }
 
 impl DecideMode {
-    /// Dovetail with the given fixed chase:search fuel ratio.
-    pub fn dovetail(chase_ratio: u32) -> Self {
-        Self::Dovetail { chase_ratio }
-    }
-
     /// Dovetail with a self-adjusting ratio starting at `chase_ratio`.
     pub fn adaptive_dovetail(chase_ratio: u32) -> Self {
         Self::AdaptiveDovetail { chase_ratio }
-    }
-
-    /// The configured starting chase:search ratio, if dovetailing.
-    pub fn initial_ratio(self) -> Option<u32> {
-        match self {
-            Self::Sequential => None,
-            Self::Dovetail { chase_ratio } | Self::AdaptiveDovetail { chase_ratio } => {
-                Some(chase_ratio.max(1))
-            }
-        }
     }
 }
 
@@ -247,19 +228,19 @@ enum DecidePhase {
         chase_run: Box<ChaseRun>,
         task: Box<SearchTask>,
     },
-    /// [`DecideMode::Dovetail`] / [`DecideMode::AdaptiveDovetail`]: both
-    /// procedures live, fuel alternating between them. `chase_turn` counts
-    /// the chase rounds left before the search's next attempt; `ratio` is
-    /// the current period length (fixed mode never changes it). The
-    /// `last_*` counters are the chase readings at the previous period
-    /// boundary, the adaptive mode's progress baseline. The search runs
-    /// over its own snapshot of the initial pool (the procedures are
-    /// independent enumerations).
+    /// [`DecideMode::AdaptiveDovetail`]: both procedures live, fuel
+    /// alternating between them. `chase_turn` counts the chase rounds
+    /// left before the search's next attempt; `ratio` is the current
+    /// period length, at most `cap`. The `last_*` counters are the chase
+    /// readings at the previous period boundary, the re-ratio rule's
+    /// progress baseline. The search runs over its own snapshot of the
+    /// initial pool (the procedures are independent enumerations).
     Dovetailing {
         chase: Box<ChaseTask>,
         search: Box<SearchTask>,
         chase_turn: u32,
         ratio: u32,
+        cap: u32,
         last_steps: u64,
         last_merges: u64,
     },
@@ -276,8 +257,8 @@ enum DecidePhase {
 /// certificate appears or the chase budget runs out, then (unless
 /// [`DecideConfig::skip_search`]) steps the counterexample search over the
 /// same evolved pool — exactly the blocking driver's historical two
-/// phases, trace-for-trace. In [`DecideMode::Dovetail`] both procedures
-/// run from the start, fuel alternating at the configured ratio, so a
+/// phases, trace-for-trace. In [`DecideMode::AdaptiveDovetail`] both
+/// procedures run from the start, fuel alternating at an adaptive ratio, so a
 /// refutable query whose chase diverges is still answered `No` once the
 /// search finds its witness. Either way one fuel unit is one chase round
 /// or one search attempt, so interleaving many tasks with small slices is
@@ -326,8 +307,9 @@ impl DecideTask {
     ) -> Self {
         let sigma: Arc<[TdOrEgd]> = sigma.into();
         let cancel = CancelToken::new();
-        let phase = match cfg.mode.initial_ratio() {
-            Some(ratio) if !cfg.skip_search => {
+        let phase = match cfg.mode {
+            DecideMode::AdaptiveDovetail { chase_ratio } if !cfg.skip_search => {
+                let ratio = chase_ratio.max(1);
                 let universe: Arc<Universe> = match &goal {
                     TdOrEgd::Td(t) => t.universe().clone(),
                     TdOrEgd::Egd(e) => e.universe().clone(),
@@ -348,6 +330,7 @@ impl DecideTask {
                     search: Box::new(search),
                     chase_turn: ratio,
                     ratio,
+                    cap: ratio.saturating_mul(8),
                     last_steps: 0,
                     last_merges: 0,
                 }
@@ -419,6 +402,7 @@ impl DecideTask {
                     search,
                     chase_turn,
                     ratio,
+                    cap,
                     last_steps,
                     last_merges,
                 } => {
@@ -445,32 +429,21 @@ impl DecideTask {
                         let used = ((search.attempts_done() - before) as usize).max(1);
                         left = left.saturating_sub(used);
                         self.fuel_spent += used as u64;
-                        match self.cfg.mode {
-                            DecideMode::Dovetail { .. } => {}
-                            DecideMode::AdaptiveDovetail { chase_ratio } => {
-                                // Re-ratio toward whoever progressed: a
-                                // period with merges or with no new steps
-                                // means the chase is converging (give it
-                                // more); pure row growth looks divergent
-                                // (let the search in sooner).
-                                let steps = chase.steps_applied() as u64;
-                                let merges = chase.merges() as u64;
-                                let converging =
-                                    steps == *last_steps || merges > *last_merges;
-                                let cap = chase_ratio.max(1).saturating_mul(8);
-                                *ratio = if converging {
-                                    ratio.saturating_mul(2).min(cap)
-                                } else {
-                                    (*ratio / 2).max(1)
-                                };
-                                *last_steps = steps;
-                                *last_merges = merges;
-                            }
-                            DecideMode::Sequential => {
-                                unreachable!("dovetail phase outside dovetail mode")
-                            }
-                        }
-                        *chase_turn = (*ratio).max(1);
+                        // Re-ratio toward whoever progressed: a period
+                        // with merges or with no new steps means the chase
+                        // is converging (give it more); pure row growth
+                        // looks divergent (let the search in sooner).
+                        let steps = chase.steps_applied() as u64;
+                        let merges = chase.merges() as u64;
+                        let converging = steps == *last_steps || merges > *last_merges;
+                        *ratio = if converging {
+                            ratio.saturating_mul(2).min(*cap)
+                        } else {
+                            (*ratio / 2).max(1)
+                        };
+                        *last_steps = steps;
+                        *last_merges = merges;
+                        *chase_turn = *ratio;
                         if let SearchStatus::Done(found) = status {
                             self.leave_dovetail_search(found);
                         }
@@ -914,7 +887,7 @@ mod tests {
         let (sigma, goal, pool) = refutable_divergent();
         let cfg = DecideConfig {
             chase: huge_chase(),
-            mode: DecideMode::dovetail(1),
+            mode: DecideMode::adaptive_dovetail(1),
             ..DecideConfig::default()
         };
         let mut task = DecideTask::new(sigma.clone(), goal.clone(), pool, cfg);
@@ -957,11 +930,7 @@ mod tests {
                 Dependency::from(Fd::parse(&u, "B -> C").unwrap()),
             ];
             let goal = Dependency::from(Fd::parse(&u, goal_text).unwrap());
-            for mode in [
-                DecideMode::Sequential,
-                DecideMode::dovetail(2),
-                DecideMode::adaptive_dovetail(2),
-            ] {
+            for mode in [DecideMode::Sequential, DecideMode::adaptive_dovetail(2)] {
                 let cfg = DecideConfig {
                     mode,
                     ..DecideConfig::default()
@@ -975,66 +944,71 @@ mod tests {
 
     #[test]
     fn adaptive_dovetail_parity_with_fixed_ratio() {
-        // The adaptive ratio never changes the *answers* — only the fuel
-        // split. Parity across implied, refuted, and divergent-refutable
-        // queries, at several starting ratios.
+        // The adaptive ratio never changes the *answers*, only the fuel
+        // split. The baseline starts at ratio 1 on the pure-growth
+        // divergent query, where halving cannot go below the floor: its
+        // period is observed to stay fixed at 1 until the search refutes.
+        // Runs starting at 2 and 8 re-ratio on the way and must agree.
         let (sigma, goal, pool) = refutable_divergent();
-        for ratio in [1, 2, 8] {
-            let mut answers = Vec::new();
-            for mode in [
-                DecideMode::dovetail(ratio),
-                DecideMode::adaptive_dovetail(ratio),
-            ] {
-                let cfg = DecideConfig {
-                    chase: huge_chase(),
-                    mode,
-                    ..DecideConfig::default()
-                };
-                let mut task =
-                    DecideTask::new(sigma.clone(), goal.clone(), pool.clone(), cfg);
-                let answer = task.run_to_completion();
-                let (decision, _pool) = task.finish();
-                answers.push((answer, decision.finite_implication));
+        let mk = |ratio| DecideConfig {
+            chase: huge_chase(),
+            mode: DecideMode::adaptive_dovetail(ratio),
+            ..DecideConfig::default()
+        };
+        let mut fixed = DecideTask::new(sigma.clone(), goal.clone(), pool.clone(), mk(1));
+        let fixed_answer = loop {
+            match fixed.step(1) {
+                DecideStatus::Done(a) => break a,
+                DecideStatus::Pending => {
+                    if let DecidePhase::Dovetailing { ratio, .. } = &fixed.phase {
+                        assert_eq!(*ratio, 1, "the baseline's period must stay fixed");
+                    }
+                }
             }
+        };
+        let (fixed_decision, _pool) = fixed.finish();
+        let baseline = (fixed_answer, fixed_decision.finite_implication);
+        assert_eq!(baseline, (Answer::No, Answer::No), "the baseline must refute");
+        for ratio in [2, 8] {
+            let mut task = DecideTask::new(sigma.clone(), goal.clone(), pool.clone(), mk(ratio));
+            let answer = task.run_to_completion();
+            let (decision, _pool) = task.finish();
             assert_eq!(
-                answers[0], answers[1],
-                "fixed vs adaptive parity at ratio {ratio}"
+                (answer, decision.finite_implication),
+                baseline,
+                "adaptive vs fixed-ratio parity at starting ratio {ratio}"
             );
-            assert_eq!(answers[0].1, Answer::No, "both must refute the divergent query");
         }
     }
 
     #[test]
     fn adaptive_dovetail_shrinks_ratio_on_divergence() {
-        // On the pure-growth divergent query the re-ratio rule drives the
-        // period length down to 1, so the search gets in at least as often
-        // as with the same fixed starting ratio.
+        // On the pure-growth divergent query the re-ratio rule halves the
+        // period at every boundary, so a start of 32 falls to the floor of
+        // 1 in five periods. A one-row search cap keeps the search from
+        // refuting (one row cannot violate an fd) while the ratio falls.
         let (sigma, goal, pool) = refutable_divergent();
-        let mk = |mode| DecideConfig {
+        let cfg = DecideConfig {
             chase: huge_chase(),
-            mode,
+            search: SearchConfig {
+                max_rows: 1,
+                ..SearchConfig::default()
+            },
+            mode: DecideMode::adaptive_dovetail(32),
             ..DecideConfig::default()
         };
-        let mut fixed = DecideTask::new(
-            sigma.clone(),
-            goal.clone(),
-            pool.clone(),
-            mk(DecideMode::dovetail(32)),
-        );
-        let mut adaptive = DecideTask::new(
-            sigma.clone(),
-            goal.clone(),
-            pool,
-            mk(DecideMode::adaptive_dovetail(32)),
-        );
-        assert_eq!(fixed.run_to_completion(), Answer::No);
-        assert_eq!(adaptive.run_to_completion(), Answer::No);
-        assert!(
-            adaptive.fuel_spent() <= fixed.fuel_spent(),
-            "divergence detection must not waste fuel vs fixed ratio (adaptive {} vs fixed {})",
-            adaptive.fuel_spent(),
-            fixed.fuel_spent()
-        );
+        let mut task = DecideTask::new(sigma, goal, pool, cfg);
+        let mut ratios = vec![32];
+        for _ in 0..80 {
+            assert_eq!(task.step(1), DecideStatus::Pending);
+            let DecidePhase::Dovetailing { ratio, .. } = &task.phase else {
+                panic!("both procedures must still be live");
+            };
+            if ratios.last() != Some(ratio) {
+                ratios.push(*ratio);
+            }
+        }
+        assert_eq!(ratios, [32, 16, 8, 4, 2, 1]);
     }
 
     #[test]

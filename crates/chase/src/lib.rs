@@ -22,8 +22,9 @@
 //!   preemptible at round/attempt granularity so a scheduler can dovetail
 //!   many queries fairly (the `typedtd-service` crate builds on these).
 //!   A [`DecideTask`] can also dovetail *within* itself
-//!   ([`DecideMode::Dovetail`]: chase rounds alternate with search
-//!   attempts), and every task carries a [`CancelToken`] that stops it
+//!   ([`DecideMode::AdaptiveDovetail`]: chase rounds alternate with
+//!   search attempts at a ratio that follows whichever procedure
+//!   progressed), and every task carries a [`CancelToken`] that stops it
 //!   mid-slice instead of letting it burn its remaining budget.
 
 #![warn(missing_docs)]

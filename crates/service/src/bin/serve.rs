@@ -12,12 +12,12 @@
 //! thousand-line corpus degrades one answer, not the whole run).
 //!
 //! ```text
-//! typedtd-serve QUERIES.tdq [--slice N] [--global-fuel N] [--workers N]
-//!               [--shards N] [--cache-cap N] [--no-cache] [--verify-hits]
-//!               [--mode sequential|dovetail[:RATIO]|dovetail:adaptive[:RATIO]] [--steal on|off] [--classify on|off] [--group on|off]
-//!               [--drain-sweeps N] [--quick] [--stats] [--log PATH]
-//!               [--metrics PATH]
+//! typedtd-serve QUERIES.tdq [--workers N] [--drain-sweeps N] [--stats]
+//!               [--metrics PATH] SERVICE-FLAGS
 //! ```
+//!
+//! `SERVICE-FLAGS` ([`typedtd_service::SERVICE_USAGE`]) are shared with
+//! `typedtd-sockd` and parsed by [`typedtd_service::parse_service_args`].
 //!
 //! `--metrics PATH` keeps a Prometheus-style text exposition at `PATH`
 //! while the batch drains (rewritten atomically as answers land, plus a
@@ -29,13 +29,13 @@
 //! same log answers repeated queries from the warm cache without
 //! chasing (`--stats` reports them as `warm_hits`).
 //!
-//! `--mode dovetail[:RATIO]` selects the per-query dovetailed decide mode
-//! (`RATIO` chase rounds per search attempt, default 1): refutable
-//! queries whose chase diverges are answered `no` from the finite-model
-//! search instead of `unknown`. `dovetail:adaptive[:RATIO]` starts at the
-//! same ratio but rebalances fuel each slice toward whichever procedure
-//! progressed, favoring the search when the chase only grows rows. `--steal on|off` (default on) toggles
-//! cross-shard work stealing between the `--workers` threads; the final
+//! `--mode dovetail:adaptive[:RATIO]` selects the per-query dovetailed
+//! decide mode: refutable queries whose chase diverges are answered `no`
+//! from the finite-model search instead of `unknown`. It starts at
+//! `RATIO` chase rounds per search attempt (default 1) and rebalances
+//! fuel each slice toward whichever procedure progressed, favoring the
+//! search when the chase only grows rows. An idle one of the `--workers`
+//! threads steals slices from the other threads' shards; the final
 //! `--stats` line reports `steals`, `jobs_cancelled`, and `parked`
 //! alongside the cache counters.
 //!
@@ -57,10 +57,10 @@
 //! was accounted.
 
 use std::io::Read;
-use typedtd_chase::{Answer, ChaseConfig, DecideConfig, DecideMode};
+use typedtd_chase::Answer;
 use typedtd_service::{
-    done_line, parse_decide_mode, stats_line, submit_batch, write_atomic, ImplicationClient,
-    PersistConfig, ServiceConfig,
+    done_line, parse_service_args, stats_line, submit_batch, write_atomic, ImplicationClient,
+    SERVICE_USAGE,
 };
 
 fn answer_str(a: Answer) -> &'static str {
@@ -73,105 +73,36 @@ fn answer_str(a: Answer) -> &'static str {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: typedtd-serve <QUERIES.tdq | -> [--slice N] [--global-fuel N] \
-         [--workers N] [--shards N] [--cache-cap N] [--no-cache] [--verify-hits] \
-         [--mode sequential|dovetail[:RATIO]|dovetail:adaptive[:RATIO]] [--steal on|off] [--classify on|off] [--group on|off] [--drain-sweeps N] \
-         [--quick] [--stats] [--log PATH] [--metrics PATH]"
+        "usage: typedtd-serve <QUERIES.tdq | -> [--workers N] [--drain-sweeps N] [--stats] \
+         [--metrics PATH] {SERVICE_USAGE}"
     );
     std::process::exit(2);
 }
 
+/// The value after a flag, or the usage text when it is missing or malformed.
+fn value<T: std::str::FromStr>(rest: &mut dyn Iterator<Item = String>) -> T {
+    rest.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+}
+
 fn main() {
     let mut input: Option<String> = None;
-    let mut cfg = ServiceConfig::default();
+    let mut workers: Option<usize> = None;
     let mut show_stats = false;
-    let mut mode: Option<DecideMode> = None;
     let mut drain_sweeps: Option<usize> = None;
     let mut metrics_path: Option<std::path::PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--drain-sweeps" => {
-                drain_sweeps =
-                    Some(args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()))
-            }
-            "--mode" => {
-                mode = Some(
-                    args.next()
-                        .and_then(|v| parse_decide_mode(&v))
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--steal" => {
-                cfg.steal = match args.next().as_deref() {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => usage(),
-                }
-            }
-            "--classify" => {
-                cfg.classify = match args.next().as_deref() {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => usage(),
-                }
-            }
-            "--group" => {
-                cfg.group = match args.next().as_deref() {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => usage(),
-                }
-            }
-            "--slice" => {
-                cfg.slice_fuel = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--global-fuel" => {
-                cfg.global_fuel =
-                    Some(args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()))
-            }
-            "--workers" => {
-                cfg.workers = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--shards" => {
-                cfg.shards = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--cache-cap" => {
-                cfg.cache_capacity =
-                    args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--no-cache" => cfg.cache = false,
-            "--verify-hits" => cfg.verify_cache_hits = true,
-            "--log" => {
-                cfg.persist = Some(PersistConfig::at(
-                    args.next()
-                        .map(std::path::PathBuf::from)
-                        .unwrap_or_else(|| usage()),
-                ))
-            }
-            "--quick" => {
-                cfg.decide = DecideConfig {
-                    chase: ChaseConfig::quick(),
-                    ..DecideConfig::default()
-                }
-            }
-            "--metrics" => {
-                metrics_path = Some(
-                    args.next()
-                        .map(std::path::PathBuf::from)
-                        .unwrap_or_else(|| usage()),
-                )
-            }
+    let mut cfg = parse_service_args(std::env::args().skip(1), |arg, rest| {
+        match arg {
+            "--workers" => workers = Some(value(rest)),
+            "--drain-sweeps" => drain_sweeps = Some(value(rest)),
+            "--metrics" => metrics_path = Some(value(rest)),
             "--stats" => show_stats = true,
-            _ if input.is_none() && !arg.starts_with("--") => input = Some(arg),
-            _ => usage(),
+            _ if input.is_none() && !arg.starts_with("--") => input = Some(arg.to_string()),
+            _ => return false,
         }
-    }
-    if let Some(mode) = mode {
-        // Applied after the loop so `--quick --mode …` composes in any
-        // order (`--quick` rebuilds the decide config).
-        cfg.decide.mode = mode;
-    }
+        true
+    })
+    .unwrap_or_else(|| usage());
+    cfg.workers = workers.unwrap_or(cfg.workers);
     let Some(path) = input else { usage() };
     let text = if path == "-" {
         let mut buf = String::new();

@@ -10,12 +10,12 @@
 //!
 //! ```text
 //! typedtd-sockd [--tcp HOST:PORT] [--unix PATH] [--drivers N]
-//!               [--slice N] [--global-fuel N] [--shards N]
-//!               [--cache-cap N] [--no-cache] [--verify-hits]
-//!               [--mode sequential|dovetail[:RATIO]|dovetail:adaptive[:RATIO]] [--steal on|off] [--classify on|off] [--group on|off]
-//!               [--quick] [--stats] [--log PATH] [--max-inflight N]
-//!               [--drain-sweeps N] [--metrics PATH]
+//!               [--max-inflight N] [--drain-sweeps N] [--stats]
+//!               [--metrics PATH] SERVICE-FLAGS
 //! ```
+//!
+//! `SERVICE-FLAGS` ([`typedtd_service::SERVICE_USAGE`]) are shared with
+//! `typedtd-serve` and parsed by [`typedtd_service::parse_service_args`].
 //!
 //! With neither `--tcp` nor `--unix`, listens on `127.0.0.1:0` (an
 //! ephemeral port) and prints the bound address — scripts can parse the
@@ -43,21 +43,23 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use typedtd_chase::{ChaseConfig, DecideConfig, DecideMode};
 use typedtd_service::proto::SockdConfig;
 use typedtd_service::{
-    done_line, parse_decide_mode, stats_line, write_atomic, ImplicationClient, PersistConfig,
-    ProtoServer, ServiceConfig,
+    done_line, parse_service_args, stats_line, write_atomic, ImplicationClient, ProtoServer,
+    SERVICE_USAGE,
 };
 
 fn usage() -> ! {
     eprintln!(
-        "usage: typedtd-sockd [--tcp HOST:PORT] [--unix PATH] [--drivers N] [--slice N] \
-         [--global-fuel N] [--shards N] [--cache-cap N] [--no-cache] [--verify-hits] \
-         [--mode sequential|dovetail[:RATIO]|dovetail:adaptive[:RATIO]] [--steal on|off] [--classify on|off] [--group on|off] [--quick] [--stats] \
-         [--log PATH] [--max-inflight N] [--drain-sweeps N] [--metrics PATH]"
+        "usage: typedtd-sockd [--tcp HOST:PORT] [--unix PATH] [--drivers N] [--max-inflight N] \
+         [--drain-sweeps N] [--stats] [--metrics PATH] {SERVICE_USAGE}"
     );
     std::process::exit(2);
+}
+
+/// The value after a flag, or the usage text when it is missing or malformed.
+fn value<T: std::str::FromStr>(rest: &mut dyn Iterator<Item = String>) -> T {
+    rest.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
 }
 
 /// Periodically rewrites the metrics exposition until `stop` is set.
@@ -79,97 +81,27 @@ fn metrics_writer(client: &ImplicationClient, path: &std::path::Path, stop: &Ato
 }
 
 fn main() {
-    let mut cfg = ServiceConfig::default();
     let mut drivers = 2usize;
     let mut tcp: Option<String> = None;
     let mut unix: Option<PathBuf> = None;
-    let mut mode: Option<DecideMode> = None;
     let mut show_stats = false;
     let mut max_inflight: Option<usize> = None;
     let mut drain_sweeps = 64usize;
     let mut metrics_path: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--tcp" => tcp = Some(args.next().unwrap_or_else(|| usage())),
-            "--unix" => unix = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--drivers" => {
-                drivers = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--mode" => {
-                mode = Some(
-                    args.next()
-                        .and_then(|v| parse_decide_mode(&v))
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--steal" => {
-                cfg.steal = match args.next().as_deref() {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => usage(),
-                }
-            }
-            "--classify" => {
-                cfg.classify = match args.next().as_deref() {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => usage(),
-                }
-            }
-            "--group" => {
-                cfg.group = match args.next().as_deref() {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => usage(),
-                }
-            }
-            "--slice" => {
-                cfg.slice_fuel = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--global-fuel" => {
-                cfg.global_fuel =
-                    Some(args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()))
-            }
-            "--shards" => {
-                cfg.shards = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--cache-cap" => {
-                cfg.cache_capacity =
-                    args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--no-cache" => cfg.cache = false,
-            "--verify-hits" => cfg.verify_cache_hits = true,
-            "--log" => {
-                cfg.persist =
-                    Some(PersistConfig::at(args.next().map(PathBuf::from).unwrap_or_else(
-                        || usage(),
-                    )))
-            }
-            "--max-inflight" => {
-                max_inflight =
-                    Some(args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()))
-            }
-            "--drain-sweeps" => {
-                drain_sweeps =
-                    args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--metrics" => {
-                metrics_path = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
-            }
-            "--quick" => {
-                cfg.decide = DecideConfig {
-                    chase: ChaseConfig::quick(),
-                    ..DecideConfig::default()
-                }
-            }
+    let cfg = parse_service_args(std::env::args().skip(1), |arg, rest| {
+        match arg {
+            "--tcp" => tcp = Some(value(rest)),
+            "--unix" => unix = Some(value(rest)),
+            "--drivers" => drivers = value(rest),
+            "--max-inflight" => max_inflight = Some(value(rest)),
+            "--drain-sweeps" => drain_sweeps = value(rest),
+            "--metrics" => metrics_path = Some(value(rest)),
             "--stats" => show_stats = true,
-            _ => usage(),
+            _ => return false,
         }
-    }
-    if let Some(mode) = mode {
-        cfg.decide.mode = mode;
-    }
+        true
+    })
+    .unwrap_or_else(|| usage());
     let tcp_spec = if tcp.is_none() && unix.is_none() {
         Some("127.0.0.1:0".to_string())
     } else {

@@ -38,20 +38,21 @@
 //! typing discipline). [`query_parts`] therefore normalizes the *whole
 //! query's* column order before keying: each column gets a signature that
 //! is invariant under value renaming, hypothesis-row order, and Σ order
-//! (per-column value-frequency profiles, cross-column sharing counts, and
-//! conclusion/equality linkage, aggregated as a sorted multiset over the
-//! dependencies), and columns are sorted by signature with the submitted
-//! position as the tiebreak. No tie enumeration is needed on the hot
-//! submit path: columns that *genuinely* tie are almost always related by
-//! a query automorphism (fully interchangeable spectator columns), and
-//! reordering an automorphic block changes nothing — the canonical
-//! encodings come out identical either way, so permuted resubmissions
-//! still collide. A tie between columns the signature fails to separate
-//! that are *not* automorphic merely forfeits the hit; it can never
-//! manufacture a false one (the chosen permutation is part of how the key
-//! was computed, and the per-dependency encodings stay injective up to
-//! renaming). Queries wider than [`COL_CAP`] skip the normalization
-//! entirely (identity order). Verified cache hits compare goal hypotheses
+//! and repetition (per-column value-frequency profiles, cross-column
+//! sharing counts, and conclusion/equality linkage, aggregated over the
+//! *set* of Σ's per-dependency descriptor vectors), and columns are sorted
+//! by signature with the submitted position as the tiebreak. No tie
+//! enumeration runs on the hot submit path, so columns the signature
+//! fails to separate keep their submitted order. When such a tied block
+//! is a query automorphism (fully interchangeable spectator columns), any
+//! order yields the same canonical encodings and permuted resubmissions
+//! still collide. When it is not, a relabeled resubmission may key apart,
+//! and that is not rare: the random-query test in this module counts the
+//! splits. A split merely forfeits the hit; it can never manufacture a
+//! false one (the chosen permutation is part of how the key was computed,
+//! and the per-dependency encodings stay injective up to renaming).
+//! Queries wider than [`COL_CAP`] skip the normalization entirely
+//! (identity order). Verified cache hits compare goal hypotheses
 //! *after* each side's own canonical permutation (see
 //! [`permute_relation`]), which is exactly the equivalence equal keys now
 //! certify.
@@ -234,7 +235,7 @@ pub fn query_parts(sigma: &[TdOrEgd], goal: &TdOrEgd) -> QueryParts {
         TdOrEgd::Egd(e) => e.universe().clone(),
     };
     let width = universe.width();
-    let perm = column_order(sigma, goal, width);
+    let perm = column_order(sigma, Some(goal), width);
     let dep_keys: Vec<Vec<u32>> = sigma.iter().map(|d| dep_key_under(d, &perm)).collect();
     let goal_key = dep_key_under(goal, &perm);
     let mut sigma_keys = dep_keys.clone();
@@ -275,45 +276,44 @@ fn is_identity(perm: &[u16]) -> bool {
     perm.iter().enumerate().all(|(i, &c)| i == c as usize)
 }
 
-/// The canonical column order for `(sigma, goal)`: columns sorted by
-/// their invariant signature, submitted position breaking ties. A tied
-/// block is almost always an automorphic (fully interchangeable) set of
-/// columns, for which any order yields the same canonical encodings —
-/// so no enumeration runs on the hot submit path.
-fn column_order(sigma: &[TdOrEgd], goal: &TdOrEgd, width: usize) -> Vec<u16> {
+/// The canonical column order for `(sigma, goal)`: columns sorted by an
+/// invariant signature, submitted position breaking ties (tied columns
+/// are not enumerated; see the module docs). A column's signature is the
+/// goal's descriptor of it, when a goal is given, then the sorted
+/// descriptors of it over Σ's *distinct* per-dependency descriptor
+/// vectors, each followed by a sentinel. Deduplicating whole vectors
+/// makes the signature a function of the *set* Σ, so repeating a member
+/// cannot reorder the columns. [`group_query`] passes no goal, so every
+/// member of a Σ-group computes the same permutation whatever its goal's
+/// shape. Columns related by a uniform permutation of the query carry
+/// equal signatures in their permuted positions, so the sort is itself
+/// permutation-invariant. This runs on every submit, so each dependency
+/// is scanned once for all of its columns.
+fn column_order(sigma: &[TdOrEgd], goal: Option<&TdOrEgd>, width: usize) -> Vec<u16> {
     let mut order: Vec<u16> = (0..width as u16).collect();
     if !(2..=COL_CAP).contains(&width) {
         return order;
     }
-    let sigs = column_signatures(sigma, goal, width);
+    let mut sigs = vec![Vec::new(); width];
+    if let Some(goal) = goal {
+        for (sig, mut own) in sigs.iter_mut().zip(dep_col_descs(goal, width)) {
+            own.push(u32::MAX);
+            *sig = own;
+        }
+    }
+    let mut descs: Vec<Vec<Vec<u32>>> = sigma.iter().map(|d| dep_col_descs(d, width)).collect();
+    descs.sort_unstable();
+    descs.dedup();
+    for (c, sig) in sigs.iter_mut().enumerate() {
+        let mut col: Vec<&Vec<u32>> = descs.iter().map(|d| &d[c]).collect();
+        col.sort_unstable();
+        for d in col {
+            sig.extend(d);
+            sig.push(u32::MAX);
+        }
+    }
     order.sort_by(|&a, &b| sigs[a as usize].cmp(&sigs[b as usize]).then(a.cmp(&b)));
     order
-}
-
-/// The per-column invariant signatures of the whole query, one per
-/// column: the goal's per-column descriptor followed by the sorted
-/// multiset of Σ's descriptors (separated by sentinels). Columns related
-/// by a uniform permutation of the query carry equal signatures in their
-/// permuted positions, so the signature sort is itself
-/// permutation-invariant. This runs on every cached submit, so each
-/// dependency is scanned once for all of its columns.
-fn column_signatures(sigma: &[TdOrEgd], goal: &TdOrEgd, width: usize) -> Vec<Vec<u32>> {
-    let goal_descs = dep_col_descs(goal, width);
-    let sigma_descs: Vec<Vec<Vec<u32>>> =
-        sigma.iter().map(|d| dep_col_descs(d, width)).collect();
-    (0..width)
-        .map(|c| {
-            let mut sig = goal_descs[c].clone();
-            sig.push(u32::MAX);
-            let mut deps: Vec<&Vec<u32>> = sigma_descs.iter().map(|d| &d[c]).collect();
-            deps.sort_unstable();
-            for d in deps {
-                sig.extend(d.iter());
-                sig.push(u32::MAX);
-            }
-            sig
-        })
-        .collect()
 }
 
 /// One dependency's descriptors, one per column: counts only (invariant
@@ -650,7 +650,7 @@ pub fn group_query(sigma: &[TdOrEgd], goal: &TdOrEgd) -> Option<GroupQuery> {
     if width == 0 {
         return None;
     }
-    let perm = sigma_column_order(sigma, width);
+    let perm = column_order(sigma, None, width);
     let mut sigma_keys: Vec<Vec<u32>> = sigma.iter().map(|d| dep_key_under(d, &perm)).collect();
     sigma_keys.sort_unstable();
     sigma_keys.dedup();
@@ -666,32 +666,6 @@ pub fn group_query(sigma: &[TdOrEgd], goal: &TdOrEgd) -> Option<GroupQuery> {
         },
         goal: goal_key,
     })
-}
-
-/// The canonical column order of Σ alone: like `column_order` but with no
-/// goal contribution, so every member of a Σ-group computes the same
-/// permutation regardless of its goal's shape.
-fn sigma_column_order(sigma: &[TdOrEgd], width: usize) -> Vec<u16> {
-    let mut order: Vec<u16> = (0..width as u16).collect();
-    if !(2..=COL_CAP).contains(&width) {
-        return order;
-    }
-    let sigma_descs: Vec<Vec<Vec<u32>>> =
-        sigma.iter().map(|d| dep_col_descs(d, width)).collect();
-    let sigs: Vec<Vec<u32>> = (0..width)
-        .map(|c| {
-            let mut deps: Vec<&Vec<u32>> = sigma_descs.iter().map(|d| &d[c]).collect();
-            deps.sort_unstable();
-            let mut sig = Vec::new();
-            for d in deps {
-                sig.extend(d.iter());
-                sig.push(u32::MAX);
-            }
-            sig
-        })
-        .collect();
-    order.sort_by(|&a, &b| sigs[a as usize].cmp(&sigs[b as usize]).then(a.cmp(&b)));
-    order
 }
 
 /// Everything one shared saturation needs, decoded from a [`GroupKey`]
@@ -895,6 +869,7 @@ fn decode_dep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{goal_hypothesis, witness_match, CachedAnswer, Probe, ShardCache};
     use std::sync::Arc;
     use typedtd_dependencies::{egd_from_names, td_from_names};
     use typedtd_relational::{isomorphic, Universe, ValuePool};
@@ -1260,6 +1235,131 @@ mod tests {
         let k1 = dep_key(&TdOrEgd::Td(td.clone()));
         let k2 = dep_key(&TdOrEgd::Td(td));
         assert_eq!(k1, k2);
+    }
+
+    /// A random `(Σ, σ)` over `u`: one to four members, each a td or an
+    /// egd with one to three hypothesis rows over three values per
+    /// column, listed in reverse when `reverse` is set. Value `v{id}` is
+    /// minted at first use, so pre-minting the names in another order
+    /// renames every value.
+    fn random_query(
+        rng: &mut rand::rngs::StdRng,
+        u: &Arc<Universe>,
+        pool: &mut ValuePool,
+        reverse: bool,
+    ) -> (Vec<TdOrEgd>, TdOrEgd) {
+        use rand::RngExt;
+        let width = u.width();
+        let mut dep = |rng: &mut rand::rngs::StdRng| {
+            let mut val = |c: usize, id: u32| pool.for_attr(AttrId(c as u16), &format!("v{id}"));
+            let mut rows: Vec<Tuple> = (0..rng.random_range(1..=3usize))
+                .map(|_| (0..width).map(|c| val(c, rng.random_range(0..3u32))).collect())
+                .map(Tuple::new)
+                .collect();
+            let pick = |rng: &mut rand::rngs::StdRng, c: usize| {
+                rows[rng.random_range(0..rows.len())].values()[c]
+            };
+            let tail = if rng.random_range(0..2u32) == 0 {
+                let w = (0..width).map(|c| match rng.random_range(0..3u32) {
+                    0 => val(c, 3 + rng.random_range(0..2u32)),
+                    _ => pick(rng, c),
+                });
+                Ok(Tuple::new(w.collect()))
+            } else {
+                let c = rng.random_range(0..width);
+                Err((pick(rng, c), pick(rng, c)))
+            };
+            if reverse {
+                rows.reverse();
+            }
+            match tail {
+                Ok(w) => TdOrEgd::Td(Td::new(u.clone(), w, rows)),
+                Err((l, r)) => TdOrEgd::Egd(Egd::new(u.clone(), l, r, rows)),
+            }
+        };
+        let sigma = (0..rng.random_range(1..=4usize)).map(|_| dep(rng)).collect();
+        (sigma, dep(rng))
+    }
+
+    #[test]
+    fn random_queries_key_alike_under_every_presentation() {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x6b65_7973);
+        let yes = typedtd_chase::Answer::Yes;
+        let (mut splits, mut group_splits) = (0, 0);
+        for case in 0..400 {
+            let width = rng.random_range(3..=5usize);
+            let names: Vec<String> = (0..width).map(|c| format!("A{c}")).collect();
+            let u = if case % 2 == 0 { Universe::typed(names) } else { Universe::untyped(names) };
+            // Redraws of this query: over a pool that minted every name in
+            // reverse order first (every value renamed), and with reversed
+            // hypothesis rows.
+            let draw = rng.clone();
+            let (sigma, goal) = random_query(&mut rng, &u, &mut ValuePool::new(u.clone()), false);
+            let mut renamed_pool = ValuePool::new(u.clone());
+            for id in (0..5).rev() {
+                for c in 0..width {
+                    renamed_pool.for_attr(AttrId(c as u16), &format!("v{id}"));
+                }
+            }
+            let redraw =
+                |pool: &mut ValuePool, reverse| random_query(&mut draw.clone(), &u, pool, reverse);
+            let (renamed, renamed_goal) = redraw(&mut renamed_pool, false);
+            let base = query_parts(&sigma, &goal);
+            let base_group = group_query(&sigma, &goal).expect("nonzero width");
+            if let Some(i) = base.sigma_keys.iter().position(|k| *k == base.goal_key) {
+                assert!(
+                    witness_match(&goal_hypothesis(&sigma[i]), &goal_hypothesis(&goal)),
+                    "case {case}: goal-in-Σ key without isomorphic hypotheses"
+                );
+            }
+            let mut cache = ShardCache::default();
+            let answer = CachedAnswer { implication: yes, finite_implication: yes };
+            let hyp = permute_relation(&goal_hypothesis(&goal), &base.perm);
+            cache.insert(base.key.clone(), answer, hyp, 1);
+            let verified = |cache: &mut ShardCache, parts: &QueryParts, goal: &TdOrEgd| {
+                let witness = permute_relation(&goal_hypothesis(goal), &parts.perm);
+                matches!(cache.probe(&parts.key, Some(&witness)), Probe::Hit { .. })
+            };
+            let (reversed, reversed_goal) = redraw(&mut ValuePool::new(u.clone()), true);
+            let mut rotated = sigma.clone();
+            rotated.rotate_left(1);
+            let mut repeated = sigma.clone();
+            repeated.insert(0, sigma[sigma.len() - 1].clone());
+            let (mut all, all_goal) = redraw(&mut renamed_pool, true);
+            all.rotate_left(1);
+            all.push(all[all.len() - 1].clone());
+            for (what, s, g) in [
+                ("renaming", renamed.clone(), renamed_goal.clone()),
+                ("row order", reversed, reversed_goal),
+                ("Σ rotation", rotated, goal.clone()),
+                ("Σ repetition", repeated, goal.clone()),
+                ("all four", all, all_goal),
+            ] {
+                let parts = query_parts(&s, &g);
+                assert_eq!(parts.key, base.key, "case {case}: {what} changed the key");
+                let group = group_query(&s, &g).expect("nonzero width");
+                assert_eq!(group.key, base_group.key, "case {case}: {what} changed the group");
+                assert_eq!(group.goal, base_group.goal, "case {case}: {what} moved the goal");
+                assert!(verified(&mut cache, &parts, &g), "case {case}: {what} hit must verify");
+            }
+            // A uniform column relabeling poses the same problem, but tied
+            // columns keep their submitted order, so it may key apart.
+            // Splits are counted; a relabeling that keys alike must verify.
+            let mut perm: Vec<usize> = (0..width).collect();
+            for i in (1..perm.len()).rev() {
+                perm.swap(i, rng.random_range(0..=i));
+            }
+            let (s, g) = permute_query(&u, &mut renamed_pool, &renamed, &renamed_goal, &perm);
+            let parts = query_parts(&s, &g);
+            if parts.key != base.key {
+                splits += 1;
+            } else {
+                assert!(verified(&mut cache, &parts, &g), "case {case}: relabeled hit must verify");
+            }
+            group_splits += usize::from(group_query(&s, &g).expect("width").key != base_group.key);
+        }
+        eprintln!("column relabelings: {splits} of 400 keys and {group_splits} Σ-groups split");
     }
 
     /// The standard shared-Σ fixture: mvd + fd over untyped ABC, three

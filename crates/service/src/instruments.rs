@@ -158,15 +158,13 @@ counter_table! {
     cache_hits: "cache_hits", "typedtd_cache_hits_total",
         "Submissions answered from the answer cache";
     /// Submissions answered `Yes` at submit time because the goal is
-    /// canonically an element of Σ (implication is reflexive). Rides the
-    /// [`ServiceConfig::cache`](crate::ServiceConfig::cache) switch: with
-    /// the cache off every job really runs.
+    /// canonically an element of Σ (implication is reflexive).
     goal_in_sigma: "goal_in_sigma", "typedtd_goal_in_sigma_total",
         "Goals answered Yes at submit (goal canonically in Sigma)";
     /// Submissions coalesced onto an identical in-flight job.
     coalesced: "coalesced", "typedtd_coalesced_total",
         "Submissions coalesced onto an in-flight leader";
-    /// Submissions that had to run (cache enabled but cold, or disabled).
+    /// Submissions that had to run (no cached answer, no in-flight twin).
     cache_misses: "cache_misses", "typedtd_cache_misses_total",
         "Submissions that scheduled a new computation";
     /// Cached answers evicted to keep the cache within
@@ -386,8 +384,7 @@ impl ServiceStats {
     /// every identity that fails.
     ///
     /// * Every submission takes exactly one submit path:
-    ///   `submitted == goal_in_sigma + cache_hits + coalesced + cache_misses`
-    ///   (with the cache off, every submission is a miss).
+    ///   `submitted == goal_in_sigma + cache_hits + coalesced + cache_misses`.
     /// * Each per-class family sums to its scalar.
     /// * Routing classifies only misses: `Σ class_routed ≤ cache_misses`
     ///   (equal when classify is on and no query overrides its decide

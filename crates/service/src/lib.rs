@@ -29,14 +29,15 @@
 //!   divergent neighbours the service carries, and per-job plus global
 //!   fuel budgets convert "never returns" into the honest third answer
 //!   `Unknown`. Multi-worker drives pin workers to home-shard stripes
-//!   and **steal** slices from the deepest foreign queue when idle
-//!   (`ServiceConfig::steal`), so a skewed shard assignment no longer
-//!   degrades to single-worker throughput;
-//! * with `typedtd_chase::DecideMode::Dovetail` in the decide config,
-//!   each job also dovetails *internally* — chase rounds alternate with
-//!   finite-model search attempts at a configurable ratio — so
-//!   refutable-but-divergent queries answer `No` under a fuel cap where
-//!   the sequential mode can only report `Unknown`.
+//!   and **steal** slices from the deepest foreign queue when idle, so a
+//!   skewed shard assignment does not degrade to single-worker
+//!   throughput;
+//! * with `typedtd_chase::DecideMode::AdaptiveDovetail` in the decide
+//!   config, each job also dovetails *internally* — chase rounds
+//!   alternate with finite-model search attempts at a ratio that follows
+//!   whichever procedure progressed — so refutable-but-divergent queries
+//!   answer `No` under a fuel cap where the sequential mode can only
+//!   report `Unknown`.
 //!
 //! On top of the scheduler sits a **bounded, isomorphism-keyed answer
 //! cache** ([`canon`], [`cache`]): queries are keyed by a canonical form
@@ -79,7 +80,7 @@ pub use batch::{
     BatchVerdict,
 };
 pub use cache::{CachedAnswer, Probe, ShardCache};
-pub use cli::{done_line, parse_decide_mode, stats_line};
+pub use cli::{done_line, parse_decide_mode, parse_service_args, stats_line, SERVICE_USAGE};
 pub use instruments::{Hist, Instrument, ServiceStats, Surface, COUNTERS, GAUGES, HISTOGRAMS};
 pub use persist::{
     replay_bytes, replay_log, FaultPlan, PersistConfig, PersistLog, Replay, ReplayedRecord,

@@ -733,10 +733,7 @@ impl ProtoServer {
             let core = Arc::clone(&core);
             let conns = Arc::clone(&conn_threads);
             threads.push(std::thread::spawn(move || {
-                accept_loop(&core, &conns, || match listener.accept() {
-                    Ok((s, _)) => Ok(ProtoStream::Tcp(s)),
-                    Err(e) => Err(e),
-                });
+                accept_loop(&core, &conns, || accept_tcp(&listener));
             }));
         }
         let mut unix_path = None;
@@ -842,6 +839,16 @@ impl Drop for ProtoServer {
         self.shutdown_now();
         self.join_inner();
     }
+}
+
+/// Accepts one TCP connection with Nagle's algorithm off, as
+/// [`ProtoClient`] sets it on its side: the server's frames are small,
+/// and with Nagle on, a frame written while an earlier one is still
+/// unacknowledged waits for the peer's delayed ACK (40 ms on Linux).
+fn accept_tcp(listener: &TcpListener) -> io::Result<ProtoStream> {
+    let (s, _) = listener.accept()?;
+    s.set_nodelay(true).ok();
+    Ok(ProtoStream::Tcp(s))
 }
 
 fn accept_loop(
@@ -1916,6 +1923,17 @@ impl ProtoClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn accepted_tcp_streams_send_without_delay() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
+        let _peer = TcpStream::connect(listener.local_addr().expect("bound address"))
+            .expect("connect to localhost");
+        let Ok(ProtoStream::Tcp(accepted)) = accept_tcp(&listener) else {
+            panic!("the pending connection must be accepted as TCP");
+        };
+        assert!(accepted.nodelay().expect("read TCP_NODELAY"));
+    }
 
     #[test]
     fn frame_roundtrip_is_exact() {

@@ -34,10 +34,10 @@
 //! no matter how many divergent neighbours it has — starvation-freedom is
 //! exactly the fairness clause of the classical dovetailing argument.
 //! Per-job and global fuel budgets convert "never returns" into the
-//! honest third answer `Unknown`; a `DecideMode::Dovetail` decide config
-//! additionally dovetails *within* each job, racing the chase against the
-//! finite-model search so refutable-but-divergent queries answer `No`
-//! without waiting out a chase that never terminates.
+//! honest third answer `Unknown`; a `DecideMode::AdaptiveDovetail` decide
+//! config additionally dovetails *within* each job, racing the chase
+//! against the finite-model search so refutable-but-divergent queries
+//! answer `No` without waiting out a chase that never terminates.
 //!
 //! # Cancellation
 //!
@@ -55,9 +55,9 @@
 //! [`ImplicationClient::run_to_completion`] with several workers pins
 //! each worker to a stripe of home shards. An idle worker whose home
 //! queues are empty **steals** the next claimable job from the deepest
-//! foreign queue ([`ServiceConfig::steal`]): the stolen job's slot, key,
-//! and waiters stay in its home shard — only the slice's CPU work
-//! migrates — so `JobId`s and coalescing are unaffected. Steal counts are
+//! foreign queue: the stolen job's slot, key, and waiters stay in its
+//! home shard — only the slice's CPU work migrates — so `JobId`s and
+//! coalescing are unaffected. Stealing is always on. Steal counts are
 //! surfaced in [`ServiceStats::steals`]. Workers with nothing to do (and
 //! waiters whose claim is held elsewhere) park on condvars instead of
 //! yield-spinning; parks are counted in [`ServiceStats::parked`].
@@ -72,10 +72,9 @@
 //! `Yes` at submit time without scheduling at all. A fresh insert is never
 //! its own eviction victim (the shard holding it evicts other entries
 //! first), so tiny capacities — even `cache_capacity = 1` — still cache
-//! the latest answer instead of thrashing. With the cache disabled,
-//! `submit` skips canonicalization entirely and routes by a raw
-//! structural hash. Hits, evictions, and the fast path are all surfaced
-//! in [`ServiceStats`].
+//! the latest answer instead of thrashing. Every submission takes this
+//! one canonical path. Hits, evictions, and the fast path are all
+//! surfaced in [`ServiceStats`].
 
 use crate::cache::{goal_hypothesis, CachedAnswer, Probe, ShardCache};
 use crate::canon::{group_query, permute_relation, query_parts, GoalDecoder, GroupKey, QueryKey};
@@ -121,22 +120,13 @@ pub struct ServiceConfig {
     pub shards: usize,
     /// Worker threads [`ImplicationClient::run_to_completion`] drives the
     /// shards with. `1` = the calling thread only. With more, each worker
-    /// is pinned to a stripe of home shards and steals from foreign
-    /// queues when idle (see [`ServiceConfig::steal`]). (Any number of
+    /// is pinned to a stripe of home shards; an idle worker with empty
+    /// home queues claims one slice of the next job from the deepest
+    /// foreign queue, so a skewed shard assignment does not degrade to
+    /// single-worker throughput on the hot shard. (Any number of
     /// *external* threads may also step concurrently through clones of
     /// the client.)
     pub workers: usize,
-    /// Cross-shard work stealing for idle `run_to_completion` workers: an
-    /// idle worker with empty home queues claims one slice of the next
-    /// job from the deepest foreign queue. Disable to pin work strictly
-    /// to home workers (a skewed shard assignment then degrades to
-    /// single-worker throughput on the hot shard).
-    pub steal: bool,
-    /// Enable the canonical answer cache (and in-flight coalescing).
-    /// When disabled, `submit` skips canonicalization entirely: shard
-    /// routing falls back to a raw structural hash of the query, Σ is not
-    /// deduplicated, and every job really runs.
-    pub cache: bool,
     /// Upper bound on cached answers across all shards; beyond it the
     /// least-recently-used cold entry is evicted (in-flight coalesced
     /// entries are pinned and never evicted). A fresh insert is never its
@@ -190,8 +180,6 @@ impl Default for ServiceConfig {
             global_fuel: None,
             shards: 8,
             workers: 1,
-            steal: true,
-            cache: true,
             cache_capacity: 4096,
             verify_cache_hits: false,
             persist: None,
@@ -810,13 +798,6 @@ struct Core {
     /// shard to wait on); completions anywhere notify it.
     idle: Mutex<()>,
     idle_cv: Condvar,
-    /// Latched by the first worker that observes a spent fuel budget, so
-    /// every pinned worker exits *consistently*: without the latch, one
-    /// worker could exit on a transient zero (reserve-then-refund dips
-    /// the counter) while a surviving steal-off worker — whose home
-    /// stripe is empty — parks forever on the exiter's orphaned jobs.
-    /// Reset at the top of each `run_to_completion`.
-    draining: std::sync::atomic::AtomicBool,
     /// Shared Σ-group saturations ([`ServiceConfig::group`]). Lock order:
     /// registry before any entry's state; members stepping a group take
     /// only the state lock, never the registry's.
@@ -851,7 +832,7 @@ impl ImplicationClient {
         // shards exist; an unopenable log counts one persist error and
         // the service runs purely in-memory — startup never fails on a
         // bad disk.
-        let (persist, replayed, open_failed) = match cfg.persist.as_ref().filter(|_| cfg.cache) {
+        let (persist, replayed, open_failed) = match cfg.persist.as_ref() {
             None => (None, Vec::new(), false),
             Some(pc) => match PersistLog::open(pc) {
                 Ok((log, records)) => (Some(log), records, false),
@@ -874,7 +855,6 @@ impl ImplicationClient {
                 inflight: AtomicUsize::new(0),
                 idle: Mutex::new(()),
                 idle_cv: Condvar::new(),
-                draining: std::sync::atomic::AtomicBool::new(false),
                 groups: Mutex::new(GroupRegistry {
                     groups: FxHashMap::default(),
                     tick: 0,
@@ -1069,72 +1049,57 @@ impl ImplicationClient {
         core.stats.class_submitted[class.index()].fetch_add(1, Ordering::Relaxed);
         let nshards = core.shards.len();
         let pin = pin.map(|p| p % nshards);
-        // With the cache off there is nothing a canonical key buys —
-        // route by a raw structural hash instead of paying the
-        // canonicalization (a real cost for big Σ). Σ dedup rides the
-        // same switch: it needs the per-dependency canonical encodings.
-        let (mut key, shard_idx, perm) = if core.cfg.cache {
-            let parts = query_parts(&sigma, &goal);
-            let shard_idx = pin.unwrap_or_else(|| shard_of(&parts.key, nshards));
-            let mut key = Some(parts.key);
-            // Goal-in-Σ fast path: σ ∈ Σ up to isomorphism means Σ ⊨ σ and
-            // Σ ⊨_f σ by reflexivity — answer before scheduling anything.
-            // Under `verify_cache_hits` the key match is cross-checked
-            // through the isomorphism machinery exactly like a cache hit
-            // would be — a collision quarantines the key and runs the job
-            // in isolation instead of serving an unverified Yes.
-            if let Some(i) = parts.sigma_keys.iter().position(|k| *k == parts.goal_key) {
-                if core.cfg.verify_cache_hits
-                    && !isomorphic(&goal_hypothesis(&goal), &goal_hypothesis(&sigma[i]))
-                {
-                    core.stats.verify_rejects.fetch_add(1, Ordering::Relaxed);
-                    key = None;
-                } else {
-                    core.stats.goal_in_sigma.fetch_add(1, Ordering::Relaxed);
-                    let outcome = JobOutcome {
-                        implication: Answer::Yes,
-                        finite_implication: Answer::Yes,
-                        counterexample: None,
-                        from_cache: true,
-                        fuel_spent: 0,
-                        cancelled: false,
-                    };
-                    core.record_answer(&outcome);
-                    core.observe_fast(t0);
-                    let mut shard = self.lock_shard(shard_idx);
-                    let slot = shard.alloc(JobState::Finished(outcome));
-                    return self.handle(shard_idx, slot, &shard);
-                }
+        let parts = query_parts(&sigma, &goal);
+        let shard_idx = pin.unwrap_or_else(|| shard_of(&parts.key, nshards));
+        let mut key = Some(parts.key);
+        // Goal-in-Σ fast path: σ ∈ Σ up to isomorphism means Σ ⊨ σ and
+        // Σ ⊨_f σ by reflexivity — answer before scheduling anything.
+        // Under `verify_cache_hits` the key match is cross-checked
+        // through the isomorphism machinery exactly like a cache hit
+        // would be — a collision quarantines the key and runs the job
+        // in isolation instead of serving an unverified Yes.
+        if let Some(i) = parts.sigma_keys.iter().position(|k| *k == parts.goal_key) {
+            if core.cfg.verify_cache_hits
+                && !isomorphic(&goal_hypothesis(&goal), &goal_hypothesis(&sigma[i]))
+            {
+                core.stats.verify_rejects.fetch_add(1, Ordering::Relaxed);
+                key = None;
+            } else {
+                core.stats.goal_in_sigma.fetch_add(1, Ordering::Relaxed);
+                let outcome = JobOutcome {
+                    implication: Answer::Yes,
+                    finite_implication: Answer::Yes,
+                    counterexample: None,
+                    from_cache: true,
+                    fuel_spent: 0,
+                    cancelled: false,
+                };
+                core.record_answer(&outcome);
+                core.observe_fast(t0);
+                let mut shard = self.lock_shard(shard_idx);
+                let slot = shard.alloc(JobState::Finished(outcome));
+                return self.handle(shard_idx, slot, &shard);
             }
-            // Run the same Σ the key describes: canonically duplicate
-            // dependencies are logically redundant (isomorphic constraints
-            // are equivalent) but would inflate this job's per-round scan
-            // relative to a dedup-submitted twin.
-            let mut seen_deps = FxHashSet::default();
-            let mut di = 0;
-            sigma.retain(|_| {
-                let keep = seen_deps.insert(parts.sigma_keys[di].clone());
-                di += 1;
-                keep
-            });
-            (key, shard_idx, Some(parts.perm))
-        } else {
-            let shard_idx =
-                pin.unwrap_or_else(|| (raw_query_hash(&sigma, &goal) as usize) % nshards);
-            (None, shard_idx, None)
-        };
+        }
+        // Run the same Σ the key describes: canonically duplicate
+        // dependencies are logically redundant (isomorphic constraints
+        // are equivalent) but would inflate this job's per-round scan
+        // relative to a dedup-submitted twin.
+        let mut seen_deps = FxHashSet::default();
+        let mut di = 0;
+        sigma.retain(|_| {
+            let keep = seen_deps.insert(parts.sigma_keys[di].clone());
+            di += 1;
+            keep
+        });
         // The verification witness: the goal hypothesis with columns in
         // the canonical order the key was computed under (equal keys
         // certify isomorphism *after* each side's own permutation). Built
         // eagerly only when hits are verified — the plain hit path never
         // clones a relation; a keyed job that actually runs builds it at
         // slot installation below.
-        let mut witness: Option<Relation> = match (&key, &perm) {
-            (Some(_), Some(p)) if core.cfg.verify_cache_hits => {
-                Some(permute_relation(&goal_hypothesis(&goal), p))
-            }
-            _ => None,
-        };
+        let mut witness = (key.is_some() && core.cfg.verify_cache_hits)
+            .then(|| permute_relation(&goal_hypothesis(&goal), &parts.perm));
         let mut shard = self.lock_shard(shard_idx);
         if let Some(k) = &key {
             match shard.cache.probe(k, witness.as_ref()) {
@@ -1206,16 +1171,11 @@ impl ImplicationClient {
         let generation = {
             let s = &mut shard.slots[slot as usize];
             s.key = key.clone();
-            s.goal_hyp = if key.is_some() {
-                let p = perm.as_ref().expect("keyed submit computed a permutation");
-                Some(
-                    witness
-                        .take()
-                        .unwrap_or_else(|| permute_relation(&goal_hypothesis(&goal), p)),
-                )
-            } else {
-                None
-            };
+            s.goal_hyp = key.is_some().then(|| {
+                witness
+                    .take()
+                    .unwrap_or_else(|| permute_relation(&goal_hypothesis(&goal), &parts.perm))
+            });
             s.fuel_cap = fuel_cap;
             s.priority = priority;
             s.started = t0;
@@ -1551,12 +1511,10 @@ impl ImplicationClient {
     ///
     /// With [`ServiceConfig::workers`]` > 1`, each worker is pinned to a
     /// stripe of home shards; an idle worker steals slices from the
-    /// deepest foreign queue when [`ServiceConfig::steal`] is on, and
-    /// parks on a condvar (instead of yield-spinning) when there is
-    /// nothing to claim anywhere.
+    /// deepest foreign queue, and parks on a condvar (instead of
+    /// yield-spinning) when there is nothing to claim anywhere.
     pub fn run_to_completion(&self) {
         let workers = self.core.cfg.workers.max(1);
-        self.core.draining.store(false, Ordering::Relaxed);
         if workers == 1 {
             self.drive_serial();
         } else {
@@ -1618,20 +1576,14 @@ impl ImplicationClient {
                     ShardStep::FuelExhausted => fuel_out = true,
                 }
             }
-            // A spent fuel budget must stop every worker *consistently* —
-            // a lone exit would orphan this worker's home stripe for
-            // steal-off peers, who cannot observe FuelExhausted through
-            // their own (empty) shards and would park on `inflight > 0`
-            // forever while `expire_all` waits for them to join. Latch
-            // the drain and wake the parked.
+            // A worker whose home stripe is empty sees a spent budget
+            // through `fuel_drained`; a parked one re-checks it within
+            // `PARK_TIMEOUT`, and a live peer steals whatever an exited
+            // worker's stripe still holds.
             if fuel_out || core.fuel_drained() {
-                core.draining.store(true, Ordering::Relaxed);
-                core.idle_cv.notify_all();
-            }
-            if core.draining.load(Ordering::Relaxed) {
                 break;
             }
-            if !progressed && core.cfg.steal {
+            if !progressed {
                 progressed = self.try_steal(&home);
             }
             if !progressed {
@@ -2326,36 +2278,6 @@ fn shard_of(key: &QueryKey, nshards: usize) -> usize {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     key.hash(&mut h);
     (h.finish() as usize) % nshards
-}
-
-/// A raw structural hash of `(Σ, σ)` for shard routing when the cache is
-/// disabled: value handles and tableau shapes are hashed as submitted, no
-/// canonicalization. Deterministic per submission but **not** invariant
-/// under renaming — good enough to spread jobs across shards, which is
-/// all routing needs.
-fn raw_query_hash(sigma: &[TdOrEgd], goal: &TdOrEgd) -> u64 {
-    fn dep<H: Hasher>(h: &mut H, d: &TdOrEgd) {
-        match d {
-            TdOrEgd::Td(t) => {
-                0u8.hash(h);
-                t.hypothesis().hash(h);
-                t.conclusion().hash(h);
-            }
-            TdOrEgd::Egd(e) => {
-                1u8.hash(h);
-                e.hypothesis().hash(h);
-                e.left().hash(h);
-                e.right().hash(h);
-            }
-        }
-    }
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    sigma.len().hash(&mut h);
-    for d in sigma {
-        dep(&mut h, d);
-    }
-    dep(&mut h, goal);
-    h.finish()
 }
 
 /// Owner of one submitted job's lifecycle. Poll it, block on it, cancel

@@ -119,7 +119,7 @@ fn ind_axiomatic_oracle_agrees_with_dovetailed_chase() {
     let width = u.width() as u16;
     let mut rng = StdRng::seed_from_u64(0x1d1d_1982);
     let cfg = DecideConfig {
-        mode: DecideMode::dovetail(1),
+        mode: DecideMode::adaptive_dovetail(1),
         ..DecideConfig::default()
     };
     let mut definite = 0usize;

@@ -1,8 +1,8 @@
 //! Terminal chase instances must verify as counterexamples, and a
 //! divergent chase must stop at its budget.
 //!
-//! The decide layer rides the same engine: `DecideMode::Dovetail` must
-//! answer exactly what `DecideMode::Sequential` answers under both trigger
+//! The decide layer rides the same engine: `DecideMode::AdaptiveDovetail`
+//! must answer exactly what `DecideMode::Sequential` answers under both trigger
 //! scans, semi-naive and naive (typed and untyped), and cancelling a
 //! dovetailed task mid-flight stops it within one fuel slice.
 
@@ -64,7 +64,7 @@ fn decide_dovetailed(
 ) -> (Answer, Answer) {
     let cfg = DecideConfig {
         chase,
-        mode: DecideMode::dovetail(ratio),
+        mode: DecideMode::adaptive_dovetail(ratio),
         ..DecideConfig::default()
     };
     let mut task = DecideTask::new(sigma.to_vec(), goal.clone(), pool.clone(), cfg);
@@ -84,9 +84,9 @@ const ENGINE_COMBOS: [bool; 2] = [true, false];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// `DecideMode::Dovetail` answers exactly what sequential `decide`
-    /// answers on the typed mvd corpus, under both scans (naive and
-    /// semi-naive) and two dovetail ratios: the task-level counterpart of
+    /// `DecideMode::AdaptiveDovetail` answers exactly what sequential
+    /// `decide` answers on the typed mvd corpus, under both scans (naive
+    /// and semi-naive) and two starting ratios: the task-level counterpart of
     /// the service-level check in `tests/service.rs`.
     #[test]
     fn dovetail_matches_sequential_across_typed_variants(
@@ -203,7 +203,7 @@ fn cancel_mid_dovetail_stops_within_one_slice() {
             ..ChaseConfig::default()
         },
         skip_search: false,
-        mode: DecideMode::dovetail(2),
+        mode: DecideMode::adaptive_dovetail(2),
         ..DecideConfig::default()
     };
     let mut task = DecideTask::new(

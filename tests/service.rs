@@ -30,13 +30,18 @@
 //!   another thread's sweep instead of busy-spinning, and cross-shard
 //!   work stealing preserves answers under a deliberately skewed shard
 //!   assignment.
+//!
+//! Tests that need every job to really run submit canonically distinct
+//! queries, since every submission goes through the cache.
 
 use proptest::prelude::*;
 use typedtd::dependencies::{egd_from_names, td_from_names, Dependency, TdOrEgd};
 use typedtd::prelude::*;
 use typedtd::service::{
-    stats_line, ImplicationClient, JobStatus, QuerySpec, ServiceConfig, ShardStep,
+    query_parts, stats_line, ImplicationClient, JobStatus, QueryKey, QuerySpec, ServiceConfig,
+    ShardStep,
 };
+use std::collections::HashSet;
 use typedtd_chase::{DecideMode, DecideStatus, DecideTask};
 
 fn universe4() -> std::sync::Arc<Universe> {
@@ -62,6 +67,13 @@ fn decide_stepped(
     }
     let (decision, _pool) = task.finish();
     (decision.implication, decision.finite_implication)
+}
+
+/// Whether a query would really run in the service: its canonical key is
+/// new to `seen`, and its goal is not an element of Σ (the fast path).
+fn runs_fresh(seen: &mut HashSet<QueryKey>, sigma: &[TdOrEgd], goal: &TdOrEgd) -> bool {
+    let parts = query_parts(sigma, goal);
+    !parts.sigma_keys.contains(&parts.goal_key) && seen.insert(parts.key)
 }
 
 /// Builds the fd/mvd corpus query for one mask tuple (shared between the
@@ -848,7 +860,6 @@ fn step_shard_from_two_threads() {
     let client = ImplicationClient::new(ServiceConfig {
         shards: 4,
         slice_fuel: 1,
-        cache: false, // every job really runs
         ..ServiceConfig::default()
     });
     let handles: Vec<_> = distinct_cheap_queries(&u, 8)
@@ -885,7 +896,7 @@ fn step_shard_from_two_threads() {
     }
     let s = client.stats();
     assert_eq!(s.completed, 8);
-    assert_eq!(s.cache_misses, 8, "cache disabled: every job ran");
+    assert_eq!(s.cache_misses, 8, "distinct queries: every job ran");
 }
 
 /// The batch front end parses, submits, and conjoins multi-part goals —
@@ -946,33 +957,35 @@ A -> B & B -> A |= A -> B
 }
 
 /// Dovetail mode agrees with sequential blocking `decide` on the fd/mvd
-/// oracle corpus — both through the direct task API and the service.
+/// oracle corpus — both through the direct task API and the service. Only
+/// queries the service would really run are submitted, so no answer comes
+/// from the cache or the goal-in-Σ fast path.
 #[test]
 fn dovetail_matches_sequential_on_oracle_corpus() {
+    use rand::{RngExt, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x0c0c);
+    let mut mask = || rng.random_range(1..15u32);
     type Case = (Vec<u32>, Vec<u32>, u32, u32, bool);
-    let cases: Vec<Case> = (0u32..10)
-        .map(|i| {
-            (
-                vec![1 + (i * 3) % 14, 1 + (i * 9) % 14],
-                vec![1 + (i * 5) % 14, 1 + (i * 11) % 14],
-                1 + (i * 7) % 14,
-                1 + (i * 13) % 14,
-                i % 2 == 1,
-            )
-        })
+    let cases: Vec<Case> = (0u32..24)
+        .map(|i| (vec![mask(), mask()], vec![mask(), mask()], mask(), mask(), i % 2 == 1))
         .collect();
     let seq_cfg = DecideConfig::default();
     let client = ImplicationClient::new(ServiceConfig {
         decide: DecideConfig {
-            mode: DecideMode::dovetail(2),
+            mode: DecideMode::adaptive_dovetail(2),
             ..DecideConfig::default()
         },
-        cache: false, // every job really runs in dovetail mode
         ..ServiceConfig::default()
     });
+    let mut seen = HashSet::new();
+    let mut submitted = 0;
     for (l, r, gl, gr, fd) in &cases {
         let (sigma, goals, pool) = corpus_query(l, r, *gl, *gr, *fd);
         for g in goals {
+            if !runs_fresh(&mut seen, &sigma, &g) {
+                continue;
+            }
+            submitted += 1;
             let blocking = decide(&sigma, &g, &mut pool.clone(), &seq_cfg);
             assert_ne!(blocking.implication, Answer::Unknown, "corpus is decidable");
             let job = client.submit(QuerySpec::new(sigma.clone(), g, pool.clone()));
@@ -981,6 +994,8 @@ fn dovetail_matches_sequential_on_oracle_corpus() {
             assert_eq!(outcome.finite_implication, blocking.finite_implication);
         }
     }
+    assert!(submitted >= 16, "the corpus keeps enough distinct queries ({submitted})");
+    assert_eq!(client.stats().cache_misses, submitted, "every job really ran");
 }
 
 /// The per-job dovetail acceptance bar: under the same fuel cap, a
@@ -1016,7 +1031,7 @@ fn dovetail_refutes_divergent_query_where_sequential_expires() {
         "sequential burns the whole cap on the divergent chase"
     );
     assert_eq!(seq_stats.expired, 1);
-    let (dov_out, dov_stats) = run_mode(DecideMode::dovetail(1));
+    let (dov_out, dov_stats) = run_mode(DecideMode::adaptive_dovetail(1));
     assert_eq!(
         dov_out.implication,
         Answer::No,
@@ -1214,16 +1229,18 @@ fn stealing_preserves_answers_under_skewed_shard_assignment() {
     let client = ImplicationClient::new(ServiceConfig {
         shards: 4,
         workers: 3,
-        steal: true,
-        cache: false,
         slice_fuel: 4,
         ..ServiceConfig::default()
     });
     // Divergent ballast (fuel-capped) keeps the hot queue deep long
-    // enough that the idle workers reliably wake and steal.
-    let ballast: Vec<_> = (0..2)
-        .map(|_| {
-            let (s, g, p) = divergent_query(&u);
+    // enough that the idle workers reliably wake and steal. The two goals
+    // differ (equal B' vs equal C'), so neither coalesces onto the other.
+    let ballast: Vec<_> = [("B'", "y1", "y2"), ("C'", "z1", "z2")]
+        .into_iter()
+        .map(|(col, l, r)| {
+            let (s, _, mut p) = divergent_query(&u);
+            let rows: &[&[&str]] = &[&["x", "y1", "z1"], &["x", "y2", "z2"]];
+            let g = TdOrEgd::Egd(egd_from_names(&u, &mut p, rows, (col, l), (col, r)));
             client.submit(
                 QuerySpec::new(s, g, p)
                     .decide_config(big_chase_decide())
@@ -1233,12 +1250,14 @@ fn stealing_preserves_answers_under_skewed_shard_assignment() {
         })
         .collect();
     let mut expected = Vec::new();
+    let mut seen = HashSet::new();
     let jobs: Vec<_> = cases
         .iter()
         .flat_map(|(l, r, gl, gr, fd)| {
             let (sigma, goals, pool) = corpus_query(l, r, *gl, *gr, *fd);
             goals
                 .into_iter()
+                .filter(|g| runs_fresh(&mut seen, &sigma, g))
                 .map(|g| {
                     let d = decide(&sigma, &g, &mut pool.clone(), &cfg);
                     expected.push((d.implication, d.finite_implication));
@@ -1261,10 +1280,9 @@ fn stealing_preserves_answers_under_skewed_shard_assignment() {
         };
         assert_eq!(outcome.implication, Answer::Unknown);
     }
-    assert!(
-        client.stats().steals > 0,
-        "idle pinned workers must steal from the deep shard"
-    );
+    let stats = client.stats();
+    assert_eq!(stats.cache_misses, jobs.len() as u64 + 2, "every job really ran");
+    assert!(stats.steals > 0, "idle pinned workers must steal from the deep shard");
 }
 
 /// The small-capacity eviction regression: at `cache_capacity = 1` (fewer
@@ -1295,33 +1313,30 @@ fn cache_capacity_one_keeps_the_latest_answer() {
 
 /// Regression: a spent global fuel budget must terminate a multi-worker
 /// `run_to_completion` even when the starved queue lives outside an idle
-/// worker's home stripe — the idle worker can't observe `FuelExhausted`
-/// through its own (empty) shards and used to park forever on
-/// `inflight > 0` while `expire_all` waited for it to exit.
+/// worker's home stripe — once the budget is spent, the idle worker's
+/// thefts claim nothing, and it must see the spent budget instead of
+/// parking on `inflight > 0` forever while `expire_all` waits for it.
 #[test]
 fn multi_worker_run_terminates_when_global_fuel_exhausts() {
     let u = Universe::untyped_abc();
-    for steal in [true, false] {
-        let client = ImplicationClient::new(ServiceConfig {
-            decide: big_chase_decide(),
-            shards: 4,
-            workers: 2,
-            steal,
-            slice_fuel: 4,
-            global_fuel: Some(16),
-            ..ServiceConfig::default()
-        });
-        let (s, g, p) = divergent_query(&u);
-        let job = client.submit(QuerySpec::new(s, g, p).pin_shard(0));
-        client.run_to_completion();
-        let JobStatus::Done(outcome) = job.poll() else {
-            panic!("steal={steal}: the starved job must be expired, not stranded");
-        };
-        assert_eq!(outcome.implication, Answer::Unknown);
-        let stats = client.stats();
-        assert_eq!(stats.expired, 1, "steal={steal}");
-        assert!(stats.fuel_spent <= 16, "steal={steal}: budget respected");
-    }
+    let client = ImplicationClient::new(ServiceConfig {
+        decide: big_chase_decide(),
+        shards: 4,
+        workers: 2,
+        slice_fuel: 4,
+        global_fuel: Some(16),
+        ..ServiceConfig::default()
+    });
+    let (s, g, p) = divergent_query(&u);
+    let job = client.submit(QuerySpec::new(s, g, p).pin_shard(0));
+    client.run_to_completion();
+    let JobStatus::Done(outcome) = job.poll() else {
+        panic!("the starved job must be expired, not stranded");
+    };
+    assert_eq!(outcome.implication, Answer::Unknown);
+    let stats = client.stats();
+    assert_eq!(stats.expired, 1);
+    assert!(stats.fuel_spent <= 16, "budget respected");
 }
 
 /// Regression: when the last detached waiter that was keeping a
