@@ -42,7 +42,14 @@
 //! rot), the numbers are written to `BENCH_chase_smoke.json` instead, and
 //! the real perf history in `BENCH_chase.json` is left untouched.
 //!
-//! Usage: `cargo run --release -p typedtd-bench --bin chase_bench [--json] [--smoke]`
+//! `--compare OLD.json` then prints, against an earlier run's file, only
+//! the changes larger than the recorded spread: a variant whose median
+//! left the other run's min–max range (both ways round), and a paired
+//! ratio that moved by more than the larger recorded half-width. The old
+//! file is read before a `--json` run overwrites it.
+//!
+//! Usage: `cargo run --release -p typedtd-bench --bin chase_bench [--json] [--smoke]
+//! [--compare OLD.json]`
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -1409,8 +1416,17 @@ fn measure_service_warm_restart(distinct: usize, repeats: usize, samples: usize)
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let args: Vec<String> = std::env::args().collect();
+    let json = args.iter().any(|a| a == "--json");
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let old_rows = args.iter().position(|a| a == "--compare").map(|i| {
+        let path = args
+            .get(i + 1)
+            .expect("--compare needs the path of an earlier JSON file");
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+        let rows: Vec<Row> = text.lines().filter_map(Row::parse).collect();
+        (path.clone(), rows)
+    });
     let records = if smoke {
         // CI quick mode: tiny sizes, one sample each — every parity
         // assertion still runs, so the bench-path code cannot rot.
@@ -1527,29 +1543,8 @@ fn main() {
             command.replace('\\', "\\\\").replace('"', "\\\""),
         );
         for (i, r) in records.iter().enumerate() {
-            let variants: Vec<String> = r
-                .variants
-                .iter()
-                .map(|v| {
-                    format!(
-                        "{{\"name\":\"{}\",\"samples\":{},\"median_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
-                        v.name, v.samples, v.median_ns, v.min_ns, v.max_ns
-                    )
-                })
-                .collect();
-            let counters: Vec<String> = r
-                .counters
-                .iter()
-                .map(|(k, v)| format!("\"{k}\":{v}"))
-                .collect();
-            let _ = write!(
-                out,
-                "    {{\"workload\":\"{}\",\"variants\":[{}],\"counters\":{{{}}}}}{}",
-                r.workload,
-                variants.join(","),
-                counters.join(","),
-                if i + 1 < records.len() { ",\n" } else { "\n" },
-            );
+            let sep = if i + 1 < records.len() { ",\n" } else { "\n" };
+            let _ = write!(out, "    {}{sep}", record_json(r));
         }
         out.push_str("  ]\n}\n");
         let path = if smoke {
@@ -1559,5 +1554,218 @@ fn main() {
         };
         std::fs::write(path, &out).unwrap_or_else(|e| panic!("write {path}: {e}"));
         println!("\nwrote {path}");
+    }
+
+    if let Some((path, old)) = old_rows {
+        let new: Vec<Row> = records.iter().map(Row::of).collect();
+        let moved = compare(&old, &new);
+        println!(
+            "\ncompared with {path}: {} change(s) beyond the recorded spread",
+            moved.len()
+        );
+        for line in moved {
+            println!("  {line}");
+        }
+    }
+}
+
+/// One record as a line of `BENCH_chase.json`.
+fn record_json(r: &Record) -> String {
+    let variants: Vec<String> = r
+        .variants
+        .iter()
+        .map(|v| {
+            format!(
+                "{{\"name\":\"{}\",\"samples\":{},\"median_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
+                v.name, v.samples, v.median_ns, v.min_ns, v.max_ns
+            )
+        })
+        .collect();
+    let counters: Vec<String> = r
+        .counters
+        .iter()
+        .map(|(k, v)| format!("\"{k}\":{v}"))
+        .collect();
+    format!(
+        "{{\"workload\":\"{}\",\"variants\":[{}],\"counters\":{{{}}}}}",
+        r.workload,
+        variants.join(","),
+        counters.join(","),
+    )
+}
+
+/// One record as `--compare` sees it: each variant's median, min and max
+/// nanoseconds, and the paired ratio with its half-width where the row
+/// records one.
+struct Row {
+    workload: String,
+    variants: Vec<(String, [f64; 3])>,
+    paired: Option<(f64, f64)>,
+}
+
+impl Row {
+    fn of(r: &Record) -> Self {
+        let counter = |k: &str| {
+            r.counters
+                .iter()
+                .find(|(name, _)| *name == k)
+                .map(|(_, v)| *v as f64 / 1000.0)
+        };
+        Self {
+            workload: r.workload.clone(),
+            variants: r
+                .variants
+                .iter()
+                .map(|v| {
+                    let ns = [v.median_ns, v.min_ns, v.max_ns].map(|t| t as f64);
+                    (v.name.to_string(), ns)
+                })
+                .collect(),
+            paired: counter("paired_ratio_x1000").zip(counter("paired_spread_x1000")),
+        }
+    }
+
+    /// Reads one record line as [`record_json`] writes it; `None` for
+    /// the file's other lines.
+    fn parse(line: &str) -> Option<Self> {
+        let text = |s: &str, key: &str| Some(field(s, key)?.trim_matches('"').to_string());
+        let num = |s: &str, key: &str| field(s, key)?.parse::<f64>().ok();
+        let workload = text(line, "workload")?;
+        let variants = line
+            .split("\"variants\":[")
+            .nth(1)?
+            .split(']')
+            .next()?
+            .split("},{")
+            .map(|v| {
+                let ns = [num(v, "median_ns")?, num(v, "min_ns")?, num(v, "max_ns")?];
+                Some((text(v, "name")?, ns))
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let counters = line.split("\"counters\":{").nth(1)?;
+        let counter = |k: &str| num(counters, k).map(|v| v / 1000.0);
+        Some(Self {
+            workload,
+            variants,
+            paired: counter("paired_ratio_x1000").zip(counter("paired_spread_x1000")),
+        })
+    }
+}
+
+/// The raw value after `"key":` in `s`, up to the next `,` or `}`.
+fn field<'a>(s: &'a str, key: &str) -> Option<&'a str> {
+    let rest = s.split(&format!("\"{key}\":")).nth(1)?;
+    Some(rest.split([',', '}']).next()?.trim())
+}
+
+/// What `--compare` prints: each variant whose median moved by more than
+/// the recorded spread — out of the other run's min–max range, both ways
+/// round — and each paired ratio that moved by more than the larger of
+/// its two half-widths. Rows only one run has are named too.
+fn compare(old: &[Row], new: &[Row]) -> Vec<String> {
+    let ms = |ns: f64| format!("{:.3} ms", ns / 1e6);
+    let outside = |m: f64, lo: f64, hi: f64| m < lo || m > hi;
+    let mut lines = Vec::new();
+    for n in new {
+        let Some(o) = old.iter().find(|o| o.workload == n.workload) else {
+            lines.push(format!("{}: only in this run", n.workload));
+            continue;
+        };
+        for (name, [nm, nlo, nhi]) in &n.variants {
+            let Some((_, [om, olo, ohi])) = o.variants.iter().find(|(v, _)| v == name) else {
+                continue;
+            };
+            if outside(*nm, *olo, *ohi) && outside(*om, *nlo, *nhi) {
+                lines.push(format!(
+                    "{:<44} {:<20} {} -> {} ({:+.1}%)",
+                    n.workload,
+                    name,
+                    ms(*om),
+                    ms(*nm),
+                    (nm / om - 1.0) * 100.0
+                ));
+            }
+        }
+        if let (Some((or, ohw)), Some((nr, nhw))) = (o.paired, n.paired) {
+            if (nr - or).abs() > ohw.max(nhw) {
+                lines.push(format!(
+                    "{:<44} {:<20} {or:.3} ± {ohw:.3} -> {nr:.3} ± {nhw:.3}",
+                    n.workload, "paired ratio"
+                ));
+            }
+        }
+    }
+    for o in old
+        .iter()
+        .filter(|o| !new.iter().any(|n| n.workload == o.workload))
+    {
+        lines.push(format!("{}: only in the old run", o.workload));
+    }
+    lines
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn record(
+        workload: &str,
+        times_ms: &[(&'static str, [u64; 3])],
+        paired: Option<(usize, usize)>,
+    ) -> Record {
+        let ms = |t: u64| u128::from(t) * 1_000_000;
+        Record {
+            workload: workload.to_string(),
+            variants: times_ms
+                .iter()
+                .map(|&(name, [median, min, max])| Variant {
+                    name,
+                    samples: 3,
+                    median_ns: ms(median),
+                    min_ns: ms(min),
+                    max_ns: ms(max),
+                })
+                .collect(),
+            counters: paired.map_or_else(Vec::new, |(r, s)| {
+                vec![
+                    ("queries", 50),
+                    ("paired_ratio_x1000", r),
+                    ("paired_spread_x1000", s),
+                ]
+            }),
+        }
+    }
+
+    #[test]
+    fn compare_reports_only_moves_beyond_the_recorded_spread() {
+        let old = [
+            record("a", &[("x", [10, 9, 11]), ("y", [10, 9, 11])], None),
+            record("s", &[("direct", [2, 2, 3])], Some((1300, 80))),
+            record("gone", &[("x", [1, 1, 1])], None),
+        ];
+        let new = [
+            // `x` left the old range and the old median is outside the
+            // new one; `y` moved inside the spread.
+            record("a", &[("x", [5, 4, 6]), ("y", [11, 10, 12])], None),
+            record("s", &[("direct", [2, 2, 3])], Some((1000, 50))),
+        ];
+        // Round trip through the JSON lines `--json` writes.
+        let rows = |rs: &[Record]| -> Vec<Row> {
+            rs.iter()
+                .map(|r| Row::parse(&record_json(r)).expect("parses"))
+                .collect()
+        };
+        let lines = compare(&rows(&old), &rows(&new));
+        assert_eq!(lines.len(), 3, "{lines:#?}");
+        assert!(
+            lines[0].starts_with('a') && lines[0].contains(" x ") && lines[0].contains("-50.0%")
+        );
+        assert!(
+            lines[1].contains("paired ratio")
+                && lines[1].contains("1.300 ± 0.080 -> 1.000 ± 0.050")
+        );
+        assert_eq!(lines[2], "gone: only in the old run");
+        assert!(Row::parse("  \"nproc\": 2,").is_none());
+        assert!(compare(&rows(&new), &rows(&new)).is_empty());
     }
 }

@@ -25,6 +25,10 @@
 //! `typedtd-sockd: done …` ledger to stderr; `--stats` additionally
 //! prints the full service counters.
 //!
+//! `--drivers N` sets how many driver threads prepare and compute the
+//! queries (default: the host's available parallelism, at least 2); a
+//! connection thread only cuts frames and forwards answers.
+//!
 //! `--log PATH` opens (or warm-starts from) the append-only answer log:
 //! definite answers persist across restarts, and a restarted server
 //! serves them as warm cache hits with zero fresh chase fuel.
@@ -81,7 +85,7 @@ fn metrics_writer(client: &ImplicationClient, path: &std::path::Path, stop: &Ato
 }
 
 fn main() {
-    let mut drivers = 2usize;
+    let mut drivers = SockdConfig::default().drivers;
     let mut tcp: Option<String> = None;
     let mut unix: Option<PathBuf> = None;
     let mut show_stats = false;

@@ -47,22 +47,47 @@
 //! negotiation is "v1 or nothing" today; the byte exists so later
 //! versions can do better). Nothing a client sends may panic the server
 //! or desync another connection — `tests/proto.rs` fuzzes exactly this.
+//!
+//! # Server threads
+//!
+//! [`ProtoServer`] runs a pool of **drivers** ([`SockdConfig::drivers`])
+//! and, per connection, a **reader** and a **connection thread**. Every
+//! query's work happens on a driver: it takes a queued `SUBMIT`, parses,
+//! normalizes and submits it, and steps the new job's shard right away,
+//! so a query that ends in one fuel slice is built, chased and freed on
+//! one thread. Each driver pass prepares at most one `SUBMIT` and then
+//! sweeps every shard, so fresh queries and jobs that need more slices
+//! take turns. The reader blocks in `read`; the connection thread cuts
+//! frames, queues `SUBMIT`s, writes `ACCEPTED` or `ERR` as preparations
+//! come back and `ANSWER` as jobs resolve, and parks in between. Each
+//! job unparks its connection thread when it resolves, and drivers park
+//! on the service's work epoch, so no thread polls while work is in
+//! flight.
+//!
+//! A `SUBMIT` still waiting for a driver counts as pending: a `CANCEL` or
+//! `DETACH` for it is applied once its jobs exist, `STATS` counts it, the
+//! `--max-inflight` bound counts it, and a dropped connection cancels
+//! (or, if detached, keeps) what it produces.
 
 use crate::batch::{parse_query_line, parse_universe_spec};
-use crate::service::{ImplicationClient, JobHandle, JobStatus, QuerySpec, ServiceConfig};
+use crate::service::{
+    ImplicationClient, JobHandle, JobStatus, QuerySpec, ServiceConfig, ShardStep,
+};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 use typedtd_chase::{Answer, TaskPhase};
+use typedtd_dependencies::{DependencyClass, TdOrEgd};
 use typedtd_relational::ValuePool;
 
 /// The protocol version this build speaks (and stamps on every frame).
@@ -581,6 +606,24 @@ impl ProtoStream {
             Self::Unix(s) => s.set_write_timeout(d),
         }
     }
+
+    fn try_clone(&self) -> io::Result<Self> {
+        Ok(match self {
+            Self::Tcp(s) => Self::Tcp(s.try_clone()?),
+            #[cfg(unix)]
+            Self::Unix(s) => Self::Unix(s.try_clone()?),
+        })
+    }
+
+    /// Shuts both directions down: a blocked `read` on any clone returns,
+    /// and the peer reads EOF after the bytes already written.
+    fn shutdown(&self) -> io::Result<()> {
+        match self {
+            Self::Tcp(s) => s.shutdown(Shutdown::Both),
+            #[cfg(unix)]
+            Self::Unix(s) => s.shutdown(Shutdown::Both),
+        }
+    }
 }
 
 impl Read for ProtoStream {
@@ -611,10 +654,9 @@ impl Write for ProtoStream {
     }
 }
 
-/// How often an idle connection, or a driver whose in-flight jobs are all
-/// claimed elsewhere, re-checks for new work or the shutdown flag. Answer
-/// latency is bounded by it. A driver with nothing in flight blocks
-/// instead, until a submission or shutdown wakes it.
+/// How long a driver backs off while the global fuel budget reads spent
+/// (refunds from slices still in flight wake nobody), and the first sleep
+/// of an idle accept loop.
 const POLL_INTERVAL: Duration = Duration::from_micros(200);
 
 /// The longest an idle accept loop sleeps between polls; its sleep starts
@@ -625,22 +667,36 @@ const POLL_INTERVAL: Duration = Duration::from_micros(200);
 /// never arrives.
 const ACCEPT_IDLE_MAX: Duration = Duration::from_millis(50);
 
-/// Server configuration: the shared service plus how many dedicated
-/// scheduler driver threads the server runs. Drivers guarantee progress
-/// for detached/orphaned jobs; a connection with its own submissions in
-/// flight additionally helps drive the scheduler, so answer latency
-/// tracks the computation rather than the drivers' polling cadence.
+/// How long a connection thread parks when none of its submissions
+/// streams progress. Bytes from the peer, finished preparations and
+/// resolved jobs unpark it at once; the timeout only lets an idle
+/// connection see the shutdown flag.
+const CONN_PARK_BACKSTOP: Duration = Duration::from_millis(50);
+
+/// Bytes a connection's reader thread holds before it waits for the
+/// connection thread to take them, so a client that writes without
+/// reading its answers meets TCP backpressure instead of growing the
+/// server's memory.
+const READ_BUFFER_CAP: usize = 256 * 1024;
+
+/// Server configuration: the shared service plus how many driver threads
+/// the server runs. Drivers do every query's work: a driver takes a
+/// `SUBMIT` a connection queued, parses, normalizes and submits it, runs
+/// the job's first fuel slice on the same thread, and sweeps the shards
+/// for jobs that need more slices. A connection thread only cuts frames
+/// and forwards answers, so one connection can keep every driver busy.
 #[derive(Clone, Debug)]
 pub struct SockdConfig {
     /// The shared implication service's knobs.
     pub service: ServiceConfig,
-    /// Scheduler driver threads (min 1).
+    /// Driver threads (min 1). The default is the host's available
+    /// parallelism, never below 2.
     pub drivers: usize,
     /// Overload bound: a `SUBMIT` arriving while this many jobs are
-    /// already in flight is shed with [`err_code::BUSY`] instead of
-    /// queued — the queue stays bounded under a misbehaving client and
-    /// the shed count appears in the `STATS` line. `None` (the default)
-    /// never sheds.
+    /// already in flight or waiting to be prepared is shed with
+    /// [`err_code::BUSY`] instead of queued — the queue stays bounded
+    /// under a misbehaving client and the shed count appears in the
+    /// `STATS` line. `None` (the default) never sheds.
     pub max_inflight: Option<usize>,
     /// How many whole-scheduler sweeps shutdown spends draining
     /// in-flight jobs before explicitly cancelling the stragglers
@@ -654,7 +710,7 @@ impl Default for SockdConfig {
     fn default() -> Self {
         Self {
             service: ServiceConfig::default(),
-            drivers: 2,
+            drivers: std::thread::available_parallelism().map_or(2, |n| n.get().max(2)),
             max_inflight: None,
             drain_sweeps: 64,
         }
@@ -672,24 +728,62 @@ struct ServerCore {
     drain_sweeps: usize,
     /// The accept-loop threads, which shutdown unparks.
     acceptors: Mutex<Vec<std::thread::Thread>>,
+    /// `SUBMIT`s waiting for a driver, oldest first.
+    preps: Mutex<VecDeque<Prep>>,
+    /// Admitted `SUBMIT`s not yet handed to the service (queued, or being
+    /// parsed by a driver); the max-inflight bound counts them.
+    preparing: AtomicUsize,
+    /// Held across the max-inflight check and across a driver's hand-over
+    /// of a preparation from `preparing` to the service's in-flight jobs,
+    /// so the check counts every admitted `SUBMIT` exactly once.
+    admission: Mutex<()>,
 }
 
 impl ServerCore {
-    /// Trips the shutdown flag and wakes the drivers blocked waiting for
-    /// work and the accept loops sleeping between polls.
+    fn stopping(&self) -> bool {
+        self.shutdown.load(Ordering::Relaxed)
+    }
+
+    /// Trips the shutdown flag and wakes the parked drivers and the
+    /// accept loops sleeping between polls.
     fn shut_down(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
-        self.client.wake_idle();
+        self.client.wake_all_for_work();
         for t in self.acceptors.lock().expect("acceptor list").iter() {
             t.unpark();
         }
     }
+
+    /// Admits one `SUBMIT` for preparation, or refuses it at the
+    /// max-inflight bound.
+    fn admit(&self) -> bool {
+        let Some(max) = self.max_inflight else {
+            self.preparing.fetch_add(1, Ordering::Relaxed);
+            return true;
+        };
+        let _gate = self.admission.lock().expect("admission lock");
+        if self.client.pending_jobs() + self.preparing.load(Ordering::Relaxed) >= max {
+            return false;
+        }
+        self.preparing.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
+    /// Queues an admitted `SUBMIT`; the caller wakes a driver for it
+    /// with [`ImplicationClient::bump_work`].
+    fn push_prep(&self, prep: Prep) {
+        self.preps.lock().expect("prep queue").push_back(prep);
+    }
+
+    fn take_prep(&self) -> Option<Prep> {
+        self.preps.lock().expect("prep queue").pop_front()
+    }
 }
 
 /// A running `typedtd-sockd` server: one shared [`ImplicationClient`],
-/// an accept loop per listener (TCP and/or Unix), one thread per
-/// connection, and a pool of scheduler driver threads. Shut down via a
-/// [`Opcode::Shutdown`] frame from any client or
+/// an accept loop per listener (TCP and/or Unix), a connection thread
+/// and a reader thread per connection, and a pool of driver threads.
+/// Shut down via a [`Opcode::Shutdown`] frame from any client or
 /// [`ProtoServer::shutdown_now`]; [`ProtoServer::join`] waits for all
 /// threads. Dropping the server shuts it down.
 pub struct ProtoServer {
@@ -721,6 +815,9 @@ impl ProtoServer {
             max_inflight: cfg.max_inflight,
             drain_sweeps: cfg.drain_sweeps,
             acceptors: Mutex::new(Vec::new()),
+            preps: Mutex::new(VecDeque::new()),
+            preparing: AtomicUsize::new(0),
+            admission: Mutex::new(()),
         });
         let conn_threads = Arc::new(Mutex::new(Vec::new()));
         let mut threads = Vec::new();
@@ -788,8 +885,8 @@ impl ProtoServer {
     }
 
     /// Trips the shutdown flag (as a client `SHUTDOWN` frame would).
-    /// Accept loops stop, connections disconnect at their next poll
-    /// tick, drivers exit.
+    /// Accept loops stop, drivers exit, and idle connections disconnect
+    /// within 50 ms.
     pub fn shutdown_now(&self) {
         self.core.shut_down();
     }
@@ -808,6 +905,13 @@ impl ProtoServer {
         let conns: Vec<_> = self.conn_threads.lock().expect("conn list").drain(..).collect();
         for t in conns {
             let _ = t.join();
+        }
+        // The drivers may have stopped with `SUBMIT`s still queued:
+        // prepare them here, so every `SUBMIT` read before the shutdown
+        // is submitted (and, its connection gone, cancelled or kept as
+        // detached) before the drain.
+        while let Some(prep) = self.core.take_prep() {
+            prepare(&self.core, prep);
         }
         // Drain: with every connection gone nothing new can arrive, so
         // give in-flight (detached or orphaned) jobs a bounded number of
@@ -900,22 +1004,238 @@ fn accept_loop(
     }
 }
 
-/// One scheduler driver: sweeps all shards; sleeps `POLL_INTERVAL` when
-/// jobs are in flight but none is runnable, and blocks until a submission
-/// or shutdown when none is in flight, so an idle server spends no CPU.
+/// One driver. Each pass prepares at most one queued `SUBMIT` (see
+/// [`prepare`]), then sweeps every shard once, so fresh queries and jobs
+/// that need more slices take turns. A pass whose sweep ran slices ends
+/// with a yield: on a core shared with connection threads, or with a
+/// local client, a long computation then hands the CPU over between
+/// slices instead of holding it for a whole scheduler slice (passes that
+/// only prepared do not yield). A pass that found nothing to do parks
+/// until the work epoch moves (a queued `SUBMIT`, a requeued job) or
+/// shutdown; resolutions wake no driver. A pass that found the global
+/// fuel budget spent backs off for [`POLL_INTERVAL`] instead, because
+/// refunds wake nobody.
 fn driver_loop(core: &ServerCore) {
-    let stopping = || core.shutdown.load(Ordering::Relaxed);
-    while !stopping() {
-        if core.client.tick() {
-            // A yield between productive sweeps keeps connection and
-            // client threads schedulable on few-core hosts — a driver
-            // that spins through uncontended shard locks never enters
-            // the kernel and can otherwise monopolize a core.
-            std::thread::yield_now();
-        } else if core.client.pending_jobs() > 0 {
+    let client = &core.client;
+    while !core.stopping() {
+        let seen = client.work_epoch();
+        let prep = core.take_prep();
+        let prepared = prep.is_some();
+        if let Some(prep) = prep {
+            prepare(core, prep);
+        }
+        let mut progressed = false;
+        let mut fuel_out = false;
+        for idx in 0..client.num_shards() {
+            match client.step_shard(idx) {
+                ShardStep::Progressed => progressed = true,
+                ShardStep::FuelExhausted => fuel_out = true,
+                ShardStep::Idle | ShardStep::Empty => {}
+            }
+        }
+        if fuel_out && !prepared {
             std::thread::sleep(POLL_INTERVAL);
+        } else if progressed {
+            std::thread::yield_now();
+        } else if !prepared {
+            client.park_for_work(seen, || core.stopping());
+        }
+    }
+}
+
+/// One `SUBMIT` on its way from a connection to a driver.
+struct Prep {
+    corr: u64,
+    payload: Vec<u8>,
+    conn: Arc<ConnShared>,
+}
+
+/// What a driver hands back for a [`Prep`]: the jobs of the query's goal
+/// parts and its progress flag, or the `ERR` code and message that
+/// rejected it.
+type PrepResult = Result<(Vec<JobHandle>, bool), (u16, String)>;
+
+/// A decoded, parsed and normalized `SUBMIT`.
+struct ParsedSubmit {
+    pool: ValuePool,
+    sigma: Vec<TdOrEgd>,
+    goal_parts: Vec<TdOrEgd>,
+    class: DependencyClass,
+    fuel_cap: Option<u64>,
+    progress: bool,
+}
+
+/// Decodes a `SUBMIT` payload and runs the text layer. The whole layer is
+/// a plain `Result` pipeline: every parser and `try_normalize` reports
+/// malformed input as `Err`, so every rejection is an `ERR` frame on a
+/// still-synced stream and no thread dies.
+fn parse_submit(payload: &[u8]) -> Result<ParsedSubmit, (u16, String)> {
+    let payload = SubmitPayload::decode(payload).map_err(|m| (err_code::BAD_PAYLOAD, m))?;
+    let parsed = (|| {
+        let universe = parse_universe_spec(&payload.universe)?;
+        let mut pool = ValuePool::new(universe.clone());
+        let (sigma, goal) = parse_query_line(&universe, &mut pool, &payload.query)?;
+        let mut sigma_normal = Vec::new();
+        for d in &sigma {
+            sigma_normal.extend(d.try_normalize(&universe, &mut pool)?);
+        }
+        let class = goal.class();
+        let goal_parts = goal.try_normalize(&universe, &mut pool)?;
+        Ok::<_, String>(ParsedSubmit {
+            pool,
+            sigma: sigma_normal,
+            goal_parts,
+            class,
+            fuel_cap: payload.fuel_cap,
+            progress: payload.progress,
+        })
+    })();
+    parsed.map_err(|m| (err_code::PARSE, m))
+}
+
+/// Prepares one `SUBMIT` on the calling driver: parses it, submits one
+/// job per goal part (each unparks the connection thread when it
+/// resolves), hands the jobs to the connection, then steps their shards,
+/// so a query that ends in one slice is built, chased and freed on this
+/// thread. The connection is unparked once the slice is in, so
+/// `ACCEPTED` and a one-slice `ANSWER` leave in one write.
+fn prepare(core: &ServerCore, prep: Prep) {
+    let Prep {
+        corr,
+        payload,
+        conn,
+    } = prep;
+    let result = match parse_submit(&payload) {
+        Err(e) => {
+            core.preparing.fetch_sub(1, Ordering::Relaxed);
+            Err(e)
+        }
+        Ok(q) => {
+            let _gate = core
+                .max_inflight
+                .map(|_| core.admission.lock().expect("admission lock"));
+            let jobs: Vec<JobHandle> = q
+                .goal_parts
+                .into_iter()
+                .map(|part| {
+                    let mut spec = QuerySpec::new(q.sigma.clone(), part, q.pool.clone())
+                        .goal_class(q.class)
+                        .waker(conn.thread.clone());
+                    if let Some(cap) = q.fuel_cap {
+                        spec = spec.fuel_cap(cap);
+                    }
+                    core.client.submit(spec)
+                })
+                .collect();
+            core.preparing.fetch_sub(1, Ordering::Relaxed);
+            Ok((jobs, q.progress))
+        }
+    };
+    let mut shards: Vec<usize> = match &result {
+        Ok((jobs, _)) => jobs.iter().map(|j| j.id().shard()).collect(),
+        Err(_) => Vec::new(),
+    };
+    shards.sort_unstable();
+    shards.dedup();
+    conn.deliver(corr, result);
+    for idx in shards {
+        core.client.step_shard(idx);
+    }
+    conn.thread.unpark();
+}
+
+/// A connection's mailbox and the threads that use it: the reader
+/// thread and the drivers deliver into it, the connection thread takes
+/// from it.
+struct ConnShared {
+    mailbox: Mutex<Mailbox>,
+    /// The reader waits here while the mailbox holds
+    /// [`READ_BUFFER_CAP`] bytes.
+    room: Condvar,
+    /// The connection thread, unparked on every delivery.
+    thread: Thread,
+}
+
+#[derive(Default)]
+struct Mailbox {
+    /// Bytes read from the socket, not yet taken.
+    bytes: Vec<u8>,
+    /// The peer hung up, or the read failed.
+    eof: bool,
+    /// Finished preparations, oldest first.
+    prepared: Vec<(u64, PrepResult)>,
+    /// The connection thread has exited: drivers settle what they
+    /// prepare themselves ([`settle_orphan`]).
+    closed: bool,
+    /// Once closed, the correlations still being prepared that were
+    /// detached and not cancelled.
+    detached: Vec<u64>,
+}
+
+impl ConnShared {
+    /// Hands a finished preparation to the connection thread, or settles
+    /// it when the connection is gone. The caller unparks the thread.
+    fn deliver(&self, corr: u64, result: PrepResult) {
+        let mut mb = self.mailbox.lock().expect("mailbox lock");
+        if !mb.closed {
+            mb.prepared.push((corr, result));
+            return;
+        }
+        let detached = mb.detached.contains(&corr);
+        drop(mb);
+        if let Ok((jobs, _)) = result {
+            settle_orphan(&jobs, detached);
+        }
+    }
+}
+
+/// Settles the jobs of a submission whose connection is gone, as a
+/// dropped client's would be: detached jobs keep computing so their
+/// answers can feed the cache, the rest are cancelled. The caller drops
+/// (retires) the handles.
+fn settle_orphan(jobs: &[JobHandle], detached: bool) {
+    for job in jobs {
+        if detached {
+            job.detach();
         } else {
-            core.client.wait_for_work(stopping);
+            job.cancel();
+        }
+    }
+}
+
+/// A connection's reader thread: blocks in `read` and moves the bytes
+/// into the mailbox, unparking the connection thread. It stops at EOF or
+/// a read error (both read as EOF), or once the mailbox closes; the
+/// connection thread shuts the socket down to end a blocked read.
+fn read_loop(mut stream: ProtoStream, shared: &ConnShared) {
+    let mut tmp = [0u8; 16 * 1024];
+    loop {
+        let n = match stream.read(&mut tmp) {
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => 0,
+        };
+        let full = {
+            let mut mb = shared.mailbox.lock().expect("mailbox lock");
+            if n == 0 {
+                mb.eof = true;
+            } else {
+                mb.bytes.extend_from_slice(&tmp[..n]);
+            }
+            mb.bytes.len() >= READ_BUFFER_CAP
+        };
+        shared.thread.unpark();
+        if n == 0 {
+            return;
+        }
+        if full {
+            let mut mb = shared.mailbox.lock().expect("mailbox lock");
+            while mb.bytes.len() >= READ_BUFFER_CAP && !mb.closed {
+                mb = shared.room.wait(mb).expect("mailbox lock");
+            }
+            if mb.closed {
+                return;
+            }
         }
     }
 }
@@ -941,12 +1261,14 @@ struct ConnCounters {
     expired: u64,
 }
 
-/// The per-connection loop: reads frames (non-blocking, short timeout),
-/// handles requests against the shared client, polls pending
-/// submissions, and pushes `ANSWER` frames out of order as they
-/// resolve. On exit (EOF, error, or server shutdown), non-detached
-/// pending jobs are cancelled and all handles retire — exactly the
-/// `JobHandle::cancel`/`detach` semantics of a dropped client.
+/// `CANCEL` and `DETACH` frames that arrived for a submission still being
+/// prepared, applied when its jobs arrive.
+#[derive(Clone, Copy, Default)]
+struct Marks {
+    cancel: bool,
+    detach: bool,
+}
+
 /// How long one socket write attempt may block before the loop re-checks
 /// the shutdown flag. Bounds how long a stalled reader (a client that
 /// pipelines submits but never drains its answers) can delay server
@@ -977,7 +1299,7 @@ fn write_all_checked(core: &ServerCore, stream: &mut ProtoStream, buf: &[u8]) ->
                 // final BYE of the shutdown handshake, which is written
                 // after the flag is already set), while a stalled one
                 // stops delaying shutdown within one write slice.
-                if core.shutdown.load(Ordering::Relaxed) {
+                if core.stopping() {
                     return false;
                 }
             }
@@ -987,109 +1309,62 @@ fn write_all_checked(core: &ServerCore, stream: &mut ProtoStream, buf: &[u8]) ->
     true
 }
 
-fn serve_conn(core: &ServerCore, mut stream: ProtoStream) {
-    // The baseline timeouts must be in place before the first
-    // read/write: an idle connection that blocked forever in `read` (or
-    // a stalled reader blocking `write`) would never observe the
-    // shutdown flag and would wedge `ProtoServer::join`.
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+/// One connection: a reader thread moves bytes from the socket into the
+/// mailbox, and this thread cuts frames, queues each `SUBMIT` for the
+/// drivers, answers the other requests, and pushes `ACCEPTED`/`ERR` for
+/// finished preparations and `ANSWER` frames out of order as jobs
+/// resolve. Between rounds it parks until the reader, a driver or a
+/// resolving job unparks it. On exit (EOF, error, or server shutdown),
+/// non-detached submissions are cancelled and all handles retire —
+/// exactly the `JobHandle::cancel`/`detach` semantics of a dropped
+/// client.
+fn serve_conn(core: &ServerCore, stream: ProtoStream) {
+    // A stalled reader must not block a write forever: shutdown would
+    // wait on this thread.
     let _ = stream.set_write_timeout(Some(WRITE_SLICE));
-    let mut rbuf: Vec<u8> = Vec::new();
-    let mut consumed = 0usize;
-    let mut tmp = [0u8; 16 * 1024];
-    let mut pending: HashMap<u64, PendingEntry> = HashMap::new();
-    let mut order: VecDeque<u64> = VecDeque::new();
-    let mut counters = ConnCounters::default();
-    let mut out: Vec<u8> = Vec::new();
-    let mut helping = false;
-    let mut last_progress = Instant::now();
-    'conn: loop {
-        if core.shutdown.load(Ordering::Relaxed) {
-            break;
-        }
-        // While this connection has submissions in flight it *helps
-        // drive* the scheduler (below) instead of waiting out the read
-        // timeout — wire latency then tracks the computation, not the
-        // poll interval. Idle connections block in the read for the full
-        // interval so they cost nothing.
-        let help = !pending.is_empty();
-        if help != helping {
-            helping = help;
-            let _ = stream.set_read_timeout(Some(if help {
-                Duration::from_micros(1)
-            } else {
-                POLL_INTERVAL
-            }));
-        }
-        match stream.read(&mut tmp) {
-            Ok(0) => break, // EOF: client hung up
-            Ok(n) => rbuf.extend_from_slice(&tmp[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) => {}
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-        loop {
-            match decode_frame(&rbuf[consumed..]) {
-                Ok(Some((frame, used))) => {
-                    consumed += used;
-                    match handle_frame(
-                        core,
-                        frame,
-                        &mut pending,
-                        &mut order,
-                        &mut counters,
-                        &mut out,
-                    ) {
-                        ConnControl::Continue => {}
-                        ConnControl::Close => {
-                            write_all_checked(core, &mut stream, &out);
-                            break 'conn;
-                        }
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    // Desynced stream: one final ERR, then a clean
-                    // disconnect — never a panic, never a guess at where
-                    // the next frame starts.
-                    err_frame(0, err_code::BAD_FRAME, &e.to_string()).encode_into(&mut out);
-                    write_all_checked(core, &mut stream, &out);
-                    break 'conn;
-                }
-            }
-        }
-        if consumed > 0 {
-            rbuf.drain(..consumed);
-            consumed = 0;
-        }
-        if !pending.is_empty() {
-            core.client.tick();
-        }
-        if last_progress.elapsed() >= PROGRESS_INTERVAL {
-            last_progress = Instant::now();
-            pump_progress(&mut pending, &mut out);
-        }
-        pump_answers(&mut pending, &mut order, &mut counters, &mut out);
-        if !out.is_empty() {
-            if !write_all_checked(core, &mut stream, &out) {
-                break;
-            }
-            out.clear();
-        }
-    }
-    // Dropped connection: cancel what nobody detached; detached jobs
-    // keep computing so their answers can still feed the shared cache.
-    for entry in pending.values() {
-        if !entry.detached {
-            for job in &entry.jobs {
-                job.cancel();
-            }
-        }
-    }
+    let Ok(read_half) = stream.try_clone() else {
+        return;
+    };
+    let shared = Arc::new(ConnShared {
+        mailbox: Mutex::default(),
+        room: Condvar::new(),
+        thread: std::thread::current(),
+    });
+    let reader = {
+        let shared = Arc::clone(&shared);
+        std::thread::spawn(move || read_loop(read_half, &shared))
+    };
+    let mut conn = Conn {
+        core,
+        shared,
+        stream,
+        pending: HashMap::new(),
+        order: VecDeque::new(),
+        preparing: HashMap::new(),
+        unwoken: 0,
+        counters: ConnCounters::default(),
+        out: Vec::new(),
+    };
+    conn.run();
+    conn.close(reader);
+}
+
+/// A connection thread's state.
+struct Conn<'a> {
+    core: &'a ServerCore,
+    shared: Arc<ConnShared>,
+    stream: ProtoStream,
+    /// Submissions with jobs, by correlation id.
+    pending: HashMap<u64, PendingEntry>,
+    /// `pending`'s ids in submission order.
+    order: VecDeque<u64>,
+    /// Submissions a driver is still preparing.
+    preparing: HashMap<u64, Marks>,
+    /// Submissions queued this round that no driver was woken for yet.
+    unwoken: usize,
+    counters: ConnCounters,
+    /// Frames to write at the end of the round.
+    out: Vec<u8>,
 }
 
 enum ConnControl {
@@ -1097,50 +1372,211 @@ enum ConnControl {
     Close,
 }
 
-fn handle_frame(
-    core: &ServerCore,
-    frame: Frame,
-    pending: &mut HashMap<u64, PendingEntry>,
-    order: &mut VecDeque<u64>,
-    counters: &mut ConnCounters,
-    out: &mut Vec<u8>,
-) -> ConnControl {
-    if frame.version != PROTO_VERSION {
-        err_frame(
-            frame.corr,
-            err_code::BAD_VERSION,
-            &format!("server speaks version {PROTO_VERSION}, frame has {}", frame.version),
-        )
-        .encode_into(out);
-        return ConnControl::Close;
-    }
-    let Some(opcode) = Opcode::from_u8(frame.opcode) else {
-        err_frame(
-            frame.corr,
-            err_code::BAD_OPCODE,
-            &format!("unknown opcode 0x{:02x}", frame.opcode),
-        )
-        .encode_into(out);
-        return ConnControl::Continue;
-    };
-    match opcode {
-        Opcode::Submit => {
-            if pending.contains_key(&frame.corr) {
-                err_frame(
-                    frame.corr,
-                    err_code::DUPLICATE_CORR,
-                    "correlation id already pending",
-                )
-                .encode_into(out);
-                return ConnControl::Continue;
+impl Conn<'_> {
+    fn run(&mut self) {
+        let mut rbuf: Vec<u8> = Vec::new();
+        let mut last_progress = Instant::now();
+        while !self.core.stopping() {
+            let (prepared, eof) = {
+                let mut mb = self.shared.mailbox.lock().expect("mailbox lock");
+                if mb.bytes.len() >= READ_BUFFER_CAP {
+                    self.shared.room.notify_one();
+                }
+                rbuf.extend_from_slice(&mb.bytes);
+                mb.bytes.clear();
+                (std::mem::take(&mut mb.prepared), mb.eof)
+            };
+            for (corr, result) in prepared {
+                self.accept(corr, result);
             }
-            // Overload shedding: a clean ERR the client can retry beats
-            // unbounded queue growth. Checked before the (expensive)
-            // parse so a flood of oversized submissions can't buy CPU
-            // with frames that would be shed anyway.
-            if let Some(max) = core.max_inflight {
-                if core.client.pending_jobs() >= max {
-                    core.client.note_shed();
+            let mut consumed = 0usize;
+            loop {
+                match decode_frame(&rbuf[consumed..]) {
+                    Ok(Some((frame, used))) => {
+                        consumed += used;
+                        if let ConnControl::Close = self.handle_frame(frame) {
+                            self.flush();
+                            return;
+                        }
+                    }
+                    Ok(None) => break,
+                    Err(e) => {
+                        // Desynced stream: one final ERR, then a clean
+                        // disconnect — never a panic, never a guess at
+                        // where the next frame starts.
+                        err_frame(0, err_code::BAD_FRAME, &e.to_string())
+                            .encode_into(&mut self.out);
+                        self.flush();
+                        return;
+                    }
+                }
+            }
+            rbuf.drain(..consumed);
+            if eof {
+                // The client hung up.
+                self.flush();
+                return;
+            }
+            let streaming = self.pending.values().any(|e| e.progress);
+            if streaming && last_progress.elapsed() >= PROGRESS_INTERVAL {
+                last_progress = Instant::now();
+                pump_progress(&mut self.pending, &mut self.out);
+            }
+            pump_answers(
+                &mut self.pending,
+                &mut self.order,
+                &mut self.counters,
+                &mut self.out,
+            );
+            if !self.flush() {
+                return;
+            }
+            self.wake_drivers();
+            std::thread::park_timeout(if streaming {
+                PROGRESS_INTERVAL.saturating_sub(last_progress.elapsed())
+            } else {
+                CONN_PARK_BACKSTOP
+            });
+        }
+    }
+
+    /// Wakes one driver per `SUBMIT` queued this round. Done last, just
+    /// before the thread parks: a woken driver may take this thread's CPU,
+    /// and the round's frames and writes must not wait behind it.
+    fn wake_drivers(&mut self) {
+        for _ in 0..std::mem::take(&mut self.unwoken) {
+            self.core.client.bump_work();
+        }
+    }
+
+    /// Writes the buffered frames; `false` when the connection should
+    /// close.
+    fn flush(&mut self) -> bool {
+        if self.out.is_empty() {
+            return true;
+        }
+        let ok = write_all_checked(self.core, &mut self.stream, &self.out);
+        self.out.clear();
+        ok
+    }
+
+    /// Takes a finished preparation: `ERR` for a rejected `SUBMIT`;
+    /// otherwise `ACCEPTED`, then any `DETACH`/`CANCEL` that arrived
+    /// while it was prepared, and the submission joins `pending`.
+    fn accept(&mut self, corr: u64, result: PrepResult) {
+        let marks = self.preparing.remove(&corr).unwrap_or_default();
+        let (jobs, progress) = match result {
+            Ok(v) => v,
+            Err((code, msg)) => {
+                err_frame(corr, code, &msg).encode_into(&mut self.out);
+                return;
+            }
+        };
+        self.counters.submitted += 1;
+        progress_frame(
+            corr,
+            ProgressKind::Accepted,
+            &format!("parts={}", jobs.len()),
+        )
+        .encode_into(&mut self.out);
+        for job in &jobs {
+            if marks.detach {
+                job.detach();
+            }
+            if marks.cancel {
+                job.cancel();
+            }
+        }
+        self.pending.insert(
+            corr,
+            PendingEntry {
+                jobs,
+                detached: marks.detach,
+                progress,
+                last_fuel: 0,
+            },
+        );
+        self.order.push_back(corr);
+    }
+
+    /// Ends the connection like a dropped client: non-detached
+    /// submissions are cancelled, including those still being prepared
+    /// (their drivers settle them through the closed mailbox), and every
+    /// handle retires.
+    fn close(mut self, reader: std::thread::JoinHandle<()>) {
+        self.wake_drivers();
+        let detached: Vec<u64> = self
+            .preparing
+            .iter()
+            .filter(|(_, m)| m.detach && !m.cancel)
+            .map(|(&corr, _)| corr)
+            .collect();
+        let orphans = {
+            let mut mb = self.shared.mailbox.lock().expect("mailbox lock");
+            mb.closed = true;
+            mb.detached.clone_from(&detached);
+            std::mem::take(&mut mb.prepared)
+        };
+        self.shared.room.notify_one();
+        let _ = self.stream.shutdown();
+        let _ = reader.join();
+        for entry in self.pending.values() {
+            if !entry.detached {
+                for job in &entry.jobs {
+                    job.cancel();
+                }
+            }
+        }
+        for (corr, result) in orphans {
+            if let Ok((jobs, _)) = result {
+                settle_orphan(&jobs, detached.contains(&corr));
+            }
+        }
+    }
+
+    fn handle_frame(&mut self, frame: Frame) -> ConnControl {
+        let out = &mut self.out;
+        if frame.version != PROTO_VERSION {
+            err_frame(
+                frame.corr,
+                err_code::BAD_VERSION,
+                &format!(
+                    "server speaks version {PROTO_VERSION}, frame has {}",
+                    frame.version
+                ),
+            )
+            .encode_into(out);
+            return ConnControl::Close;
+        }
+        let Some(opcode) = Opcode::from_u8(frame.opcode) else {
+            err_frame(
+                frame.corr,
+                err_code::BAD_OPCODE,
+                &format!("unknown opcode 0x{:02x}", frame.opcode),
+            )
+            .encode_into(out);
+            return ConnControl::Continue;
+        };
+        match opcode {
+            Opcode::Submit => {
+                if self.pending.contains_key(&frame.corr)
+                    || self.preparing.contains_key(&frame.corr)
+                {
+                    err_frame(
+                        frame.corr,
+                        err_code::DUPLICATE_CORR,
+                        "correlation id already pending",
+                    )
+                    .encode_into(out);
+                    return ConnControl::Continue;
+                }
+                // Overload shedding: a clean ERR the client can retry
+                // beats unbounded queue growth. Checked before any
+                // parsing, so a flood of oversized submissions can't buy
+                // CPU with frames that would be shed anyway.
+                if !self.core.admit() {
+                    self.core.client.note_shed();
+                    let max = self.core.max_inflight.unwrap_or(0);
                     err_frame(
                         frame.corr,
                         err_code::BUSY,
@@ -1149,133 +1585,90 @@ fn handle_frame(
                     .encode_into(out);
                     return ConnControl::Continue;
                 }
+                self.preparing.insert(frame.corr, Marks::default());
+                self.unwoken += 1;
+                self.core.push_prep(Prep {
+                    corr: frame.corr,
+                    payload: frame.payload,
+                    conn: Arc::clone(&self.shared),
+                });
             }
-            let payload = match SubmitPayload::decode(&frame.payload) {
-                Ok(p) => p,
-                Err(msg) => {
-                    err_frame(frame.corr, err_code::BAD_PAYLOAD, &msg).encode_into(out);
-                    return ConnControl::Continue;
-                }
-            };
-            // The whole text layer is a plain `Result` pipeline: every
-            // parser and `try_normalize` reports malformed input as
-            // `Err`, so every rejection is an `ERR` frame on a
-            // still-synced stream and the connection thread never dies.
-            let parsed = (|| {
-                let universe = parse_universe_spec(&payload.universe)?;
-                let mut pool = ValuePool::new(universe.clone());
-                let (sigma, goal) = parse_query_line(&universe, &mut pool, &payload.query)?;
-                let mut sigma_normal = Vec::new();
-                for d in &sigma {
-                    sigma_normal.extend(d.try_normalize(&universe, &mut pool)?);
-                }
-                let class = goal.class();
-                let goal_parts = goal.try_normalize(&universe, &mut pool)?;
-                Ok::<_, String>((pool, sigma_normal, goal_parts, class))
-            })();
-            let (pool, sigma_normal, goal_parts, class) = match parsed {
-                Ok(v) => v,
-                Err(msg) => {
-                    err_frame(frame.corr, err_code::PARSE, &msg).encode_into(out);
-                    return ConnControl::Continue;
-                }
-            };
-            counters.submitted += 1;
-            let jobs: Vec<JobHandle> = goal_parts
-                .into_iter()
-                .map(|part| {
-                    let mut spec = QuerySpec::new(sigma_normal.clone(), part, pool.clone())
-                        .goal_class(class);
-                    if let Some(cap) = payload.fuel_cap {
-                        spec = spec.fuel_cap(cap);
-                    }
-                    core.client.submit(spec)
-                })
-                .collect();
-            progress_frame(
-                frame.corr,
-                ProgressKind::Accepted,
-                &format!("parts={}", jobs.len()),
-            )
-            .encode_into(out);
-            pending.insert(
-                frame.corr,
-                PendingEntry {
-                    jobs,
-                    detached: false,
-                    progress: payload.progress,
-                    last_fuel: 0,
-                },
-            );
-            order.push_back(frame.corr);
-            ConnControl::Continue
-        }
-        Opcode::Cancel => {
-            match pending.get(&frame.corr) {
-                Some(entry) => {
+            Opcode::Cancel => {
+                if let Some(entry) = self.pending.get(&frame.corr) {
                     for job in &entry.jobs {
                         job.cancel();
                     }
-                }
-                None => {
-                    err_frame(frame.corr, err_code::UNKNOWN_CORR, "nothing pending under id")
-                        .encode_into(out);
+                } else if let Some(marks) = self.preparing.get_mut(&frame.corr) {
+                    marks.cancel = true;
+                } else {
+                    err_frame(
+                        frame.corr,
+                        err_code::UNKNOWN_CORR,
+                        "nothing pending under id",
+                    )
+                    .encode_into(out);
                 }
             }
-            ConnControl::Continue
-        }
-        Opcode::Detach => {
-            match pending.get_mut(&frame.corr) {
-                Some(entry) => {
+            Opcode::Detach => {
+                if let Some(entry) = self.pending.get_mut(&frame.corr) {
                     entry.detached = true;
                     for job in &entry.jobs {
                         job.detach();
                     }
-                }
-                None => {
-                    err_frame(frame.corr, err_code::UNKNOWN_CORR, "nothing pending under id")
-                        .encode_into(out);
+                } else if let Some(marks) = self.preparing.get_mut(&frame.corr) {
+                    marks.detach = true;
+                } else {
+                    err_frame(
+                        frame.corr,
+                        err_code::UNKNOWN_CORR,
+                        "nothing pending under id",
+                    )
+                    .encode_into(out);
                 }
             }
-            ConnControl::Continue
+            Opcode::Stats => {
+                // The connection's ledger, then the server-wide
+                // instruments in the `--stats` ledger's own vocabulary. A
+                // `SUBMIT` still being prepared counts as submitted and
+                // pending (one that then fails to parse leaves both), so
+                // `answered + cancelled + expired + pending == submitted`
+                // holds in every reply.
+                let c = &self.counters;
+                let preparing = self.preparing.len() as u64;
+                let text = format!(
+                    "submitted={} answered={} cancelled={} expired={} pending={} {}",
+                    c.submitted + preparing,
+                    c.answered,
+                    c.cancelled,
+                    c.expired,
+                    self.pending.len() as u64 + preparing,
+                    crate::cli::stats_line(&self.core.client),
+                );
+                progress_frame(frame.corr, ProgressKind::Stats, &text).encode_into(out);
+            }
+            Opcode::Shutdown => {
+                self.core.shut_down();
+                progress_frame(frame.corr, ProgressKind::Bye, "shutting down").encode_into(out);
+                return ConnControl::Close;
+            }
+            // A client sending response opcodes is out of protocol, but the
+            // frame was well-delimited: report and continue.
+            Opcode::Answer | Opcode::Progress | Opcode::Err => {
+                err_frame(
+                    frame.corr,
+                    err_code::BAD_OPCODE,
+                    "response opcode on the request direction",
+                )
+                .encode_into(out);
+            }
         }
-        Opcode::Stats => {
-            // The connection's ledger, then the server-wide instruments
-            // in the `--stats` ledger's own vocabulary.
-            let text = format!(
-                "submitted={} answered={} cancelled={} expired={} pending={} {}",
-                counters.submitted,
-                counters.answered,
-                counters.cancelled,
-                counters.expired,
-                pending.len(),
-                crate::cli::stats_line(&core.client),
-            );
-            progress_frame(frame.corr, ProgressKind::Stats, &text).encode_into(out);
-            ConnControl::Continue
-        }
-        Opcode::Shutdown => {
-            core.shut_down();
-            progress_frame(frame.corr, ProgressKind::Bye, "shutting down").encode_into(out);
-            ConnControl::Close
-        }
-        // A client sending response opcodes is out of protocol, but the
-        // frame was well-delimited: report and continue.
-        Opcode::Answer | Opcode::Progress | Opcode::Err => {
-            err_frame(
-                frame.corr,
-                err_code::BAD_OPCODE,
-                "response opcode on the request direction",
-            )
-            .encode_into(out);
-            ConnControl::Continue
-        }
+        ConnControl::Continue
     }
 }
 
 /// How often a connection scans its progress-streaming submissions for
-/// a `Running` frame. Decouples wire chatter from the helping-drive
-/// read cadence (1 µs while anything is pending).
+/// a `Running` frame: while one is pending, the connection thread parks
+/// for at most this long.
 const PROGRESS_INTERVAL: Duration = Duration::from_micros(500);
 
 /// Emits a `PROGRESS`/`Running` frame for every streaming submission

@@ -86,6 +86,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::sync::Arc;
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 use typedtd_chase::{
     classify, routed_decide_config, Answer, CancelToken, ChaseOutcome, ChaseRun, ChaseTask,
@@ -206,6 +207,14 @@ pub struct JobId {
     generation: u32,
 }
 
+impl JobId {
+    /// The shard the job lives on (an argument for
+    /// [`ImplicationClient::step_shard`]).
+    pub(crate) fn shard(self) -> usize {
+        self.shard as usize
+    }
+}
+
 /// A finished job's result.
 #[derive(Clone, Debug)]
 pub struct JobOutcome {
@@ -261,6 +270,7 @@ pub struct QuerySpec {
     decide: Option<DecideConfig>,
     pin: Option<usize>,
     class: Option<DependencyClass>,
+    waker: Option<Thread>,
 }
 
 impl QuerySpec {
@@ -277,6 +287,7 @@ impl QuerySpec {
             decide: None,
             pin: None,
             class: None,
+            waker: None,
         }
     }
 
@@ -323,6 +334,16 @@ impl QuerySpec {
     /// ([`DependencyClass::Td`] or [`DependencyClass::Egd`]).
     pub fn goal_class(mut self, class: DependencyClass) -> Self {
         self.class = Some(class);
+        self
+    }
+
+    /// Unparks `thread` when this job resolves: completion, expiry,
+    /// cancellation, or (for a coalesced job) its leader's landing. A
+    /// thread that polls its jobs can then park between polls instead
+    /// of spinning. Answers known at submit time (cache hits, the
+    /// goal-in-Σ fast path) wake nobody: the handle is already `Done`.
+    pub(crate) fn waker(mut self, thread: Thread) -> Self {
+        self.waker = Some(thread);
         self
     }
 }
@@ -393,9 +414,19 @@ struct JobSlot {
     /// Last per-slice [`ProgressSnapshot`] of the job's task (leaders
     /// only; sampled after every step, kept after landing).
     progress: ProgressSnapshot,
+    /// Unparked when the job resolves ([`QuerySpec::waker`]).
+    waker: Option<Thread>,
 }
 
 impl JobSlot {
+    /// Stores the job's outcome and wakes its [`QuerySpec::waker`].
+    fn finish(&mut self, outcome: JobOutcome) {
+        self.state = JobState::Finished(outcome);
+        if let Some(t) = self.waker.take() {
+            t.unpark();
+        }
+    }
+
     /// The job's owner cancelled it *and* the token is tripped (no
     /// detached waiters kept it alive): the job must die at its next
     /// touch instead of being granted fuel or coalesced onto.
@@ -744,6 +775,7 @@ impl Shard {
                 started: None,
                 run_nanos: 0,
                 progress: ProgressSnapshot::default(),
+                waker: None,
             });
             (self.slots.len() - 1) as u32
         }
@@ -765,6 +797,7 @@ impl Shard {
         s.started = None;
         s.run_nanos = 0;
         s.progress = ProgressSnapshot::default();
+        s.waker = None;
         self.free.push(idx);
     }
 }
@@ -798,6 +831,10 @@ struct Core {
     /// shard to wait on); completions anywhere notify it.
     idle: Mutex<()>,
     idle_cv: Condvar,
+    /// The work epoch threads in [`ImplicationClient::park_for_work`]
+    /// wait on (the socket front end's drivers), with its condvar.
+    work: Mutex<WorkEpoch>,
+    work_cv: Condvar,
     /// Shared Σ-group saturations ([`ServiceConfig::group`]). Lock order:
     /// registry before any entry's state; members stepping a group take
     /// only the state lock, never the registry's.
@@ -811,6 +848,15 @@ struct Core {
     /// fuel per job); recording is a no-op when
     /// [`ServiceConfig::metrics`] is off.
     telemetry: Telemetry,
+}
+
+/// Counts the times new work became claimable for threads parked in
+/// [`ImplicationClient::park_for_work`], and how many are parked, so a
+/// bump with nobody parked skips the notify.
+#[derive(Default)]
+struct WorkEpoch {
+    epoch: u64,
+    parked: usize,
 }
 
 /// A cheap-to-clone handle onto the shared implication service. All
@@ -855,6 +901,8 @@ impl ImplicationClient {
                 inflight: AtomicUsize::new(0),
                 idle: Mutex::new(()),
                 idle_cv: Condvar::new(),
+                work: Mutex::default(),
+                work_cv: Condvar::new(),
                 groups: Mutex::new(GroupRegistry {
                     groups: FxHashMap::default(),
                     tick: 0,
@@ -985,24 +1033,40 @@ impl ImplicationClient {
         self.core.inflight.load(Ordering::Relaxed)
     }
 
-    /// Blocks until a job is in flight or `stop` reads true. A submission
-    /// wakes it; whoever makes `stop` true must call
-    /// [`ImplicationClient::wake_idle`] afterwards. The relaxed `inflight`
-    /// read is ordered by the idle mutex: a submitter increments it before
-    /// notifying under that mutex.
-    pub(crate) fn wait_for_work(&self, stop: impl Fn() -> bool) {
-        let core = &*self.core;
-        let mut guard = core.idle.lock().expect("idle lock");
-        while core.inflight.load(Ordering::Relaxed) == 0 && !stop() {
-            guard = core.idle_cv.wait(guard).expect("idle lock");
-        }
+    /// The current work epoch. Read it *before* looking for work, and
+    /// hand it to [`ImplicationClient::park_for_work`] when none was
+    /// found, so work that appears in between is never slept through.
+    pub(crate) fn work_epoch(&self) -> u64 {
+        self.core.work.lock().expect("work lock").epoch
     }
 
-    /// Wakes every thread in [`ImplicationClient::wait_for_work`] to
+    /// Blocks until the work epoch moves past `seen` or `stop` reads
+    /// true. The epoch moves when a sweep requeues a job for its next
+    /// slice and on [`ImplicationClient::bump_work`]; each move wakes one
+    /// parked thread. Resolutions and fresh submissions do not move it: a
+    /// thread that submits a job steps its shard itself. Whoever makes
+    /// `stop` true must call [`ImplicationClient::wake_all_for_work`].
+    pub(crate) fn park_for_work(&self, seen: u64, stop: impl Fn() -> bool) {
+        let core = &*self.core;
+        let mut w = core.work.lock().expect("work lock");
+        w.parked += 1;
+        while w.epoch == seen && !stop() {
+            w = core.work_cv.wait(w).expect("work lock");
+        }
+        w.parked -= 1;
+    }
+
+    /// Moves the work epoch for work that arrived outside the scheduler
+    /// (a query waiting to be prepared), waking one parked thread.
+    pub(crate) fn bump_work(&self) {
+        self.core.bump_work();
+    }
+
+    /// Wakes every thread in [`ImplicationClient::park_for_work`] to
     /// re-check its stop condition.
-    pub(crate) fn wake_idle(&self) {
-        let _guard = self.core.idle.lock().expect("idle lock");
-        self.core.idle_cv.notify_all();
+    pub(crate) fn wake_all_for_work(&self) {
+        let _w = self.core.work.lock().expect("work lock");
+        self.core.work_cv.notify_all();
     }
 
     /// Job slots currently allocated (pending or finished-but-unretired).
@@ -1041,6 +1105,7 @@ impl ImplicationClient {
             decide,
             pin,
             class,
+            waker,
         } = spec;
         let class = class.unwrap_or(match &goal {
             TdOrEgd::Td(_) => DependencyClass::Td,
@@ -1141,6 +1206,7 @@ impl ImplicationClient {
                         core.inflight.fetch_add(1, Ordering::Relaxed);
                         let slot = shard.alloc(JobState::Waiting { leader });
                         shard.slots[slot as usize].started = t0;
+                        shard.slots[slot as usize].waker = waker;
                         shard.waiters.entry(leader).or_default().push(slot);
                         return self.handle(shard_idx, slot, &shard);
                     }
@@ -1179,6 +1245,7 @@ impl ImplicationClient {
             s.fuel_cap = fuel_cap;
             s.priority = priority;
             s.started = t0;
+            s.waker = waker;
             s.generation
         };
         if let Some(k) = key {
@@ -1244,8 +1311,9 @@ impl ImplicationClient {
         let handle = self.handle(shard_idx, slot, &shard);
         drop(shard);
         // Queue transition: wake anything parked on this shard or idling.
-        // Under the idle mutex, so a thread in `wait_for_work` cannot miss
-        // the job between its check and its wait.
+        // Under the idle mutex, so an idle `run_to_completion` worker
+        // cannot miss the job between its check and its wait. The work
+        // epoch stays: the submitter steps the job's shard itself.
         let _idle = core.idle.lock().expect("idle lock");
         self.notify_shard(shard_idx);
         handle
@@ -1447,6 +1515,7 @@ impl ImplicationClient {
             .collect();
         let mut shard = self.lock_shard(idx);
         shard.stepping -= stepped.len();
+        let mut requeued = false;
         for (slot, task, status, used, step_nanos) in stepped {
             let si = slot as usize;
             shard.slots[si].fuel_spent += used;
@@ -1469,6 +1538,7 @@ impl ImplicationClient {
                         generation,
                     });
                     core.queue_depth[idx].fetch_add(1, Ordering::Relaxed);
+                    requeued = true;
                 }
                 DecideStatus::Done(_) => {
                     let decision = task.finish();
@@ -1482,12 +1552,20 @@ impl ImplicationClient {
         }
         drop(shard);
         // Completions landed and/or jobs requeued: wake parked waiters.
+        // A requeue also wakes one thread parked for work, unless the
+        // requeued job is the only one queued: the stepping thread claims
+        // it again on its next sweep, and a woken thread would find the
+        // claim held and park again.
         self.notify_shard(idx);
+        let queued = core.queue_depth.iter().map(|d| d.load(Ordering::Relaxed));
+        if requeued && queued.sum::<usize>() > 1 {
+            core.bump_work();
+        }
         ShardStep::Progressed
     }
 
-    /// One fair sweep over every shard (the single-threaded driver the
-    /// streaming front end uses). Returns `false` once nothing more can
+    /// One fair sweep over every shard (`typedtd-serve`'s driver, and the
+    /// socket server's shutdown drain). Returns `false` once nothing more can
     /// run: every shard is drained, or the global fuel budget is spent —
     /// in the latter case call [`ImplicationClient::run_to_completion`] to
     /// expire the leftovers.
@@ -1696,7 +1774,7 @@ impl ImplicationClient {
                 self.core.record_answer(&outcome);
                 self.core.observe_waiter(&shard.slots[si], &outcome);
                 self.core.job_resolved();
-                shard.slots[si].state = JobState::Finished(outcome);
+                shard.slots[si].finish(outcome);
                 self.drop_keepalive(&mut shard, leader);
                 true
             }
@@ -1736,7 +1814,7 @@ impl ImplicationClient {
                 self.core.record_answer(&outcome);
                 self.core.observe_waiter(&shard.slots[si], &outcome);
                 self.core.job_resolved();
-                shard.slots[si].state = JobState::Finished(outcome);
+                shard.slots[si].finish(outcome);
                 self.drop_keepalive(&mut shard, leader);
             }
             JobState::Running(_) | JobState::Stepping => {
@@ -1802,7 +1880,7 @@ impl ImplicationClient {
                 self.core.record_answer(&outcome);
                 self.core.observe_waiter(&shard.slots[w as usize], &outcome);
                 self.core.job_resolved();
-                shard.slots[w as usize].state = JobState::Finished(outcome);
+                shard.slots[w as usize].finish(outcome);
             }
         }
         let keepalive = !keep.is_empty();
@@ -1904,6 +1982,16 @@ impl ImplicationClient {
 }
 
 impl Core {
+    /// New work became claimable: moves the work epoch and wakes one
+    /// thread in [`ImplicationClient::park_for_work`], if any is parked.
+    fn bump_work(&self) {
+        let mut w = self.work.lock().expect("work lock");
+        w.epoch += 1;
+        if w.parked > 0 {
+            self.work_cv.notify_one();
+        }
+    }
+
     /// Tries to enrol a query in a shared Σ-group saturation. `Ok` is a
     /// registered member (the group entry is pinned until the member
     /// drops); `Err` returns the query ingredients untouched for the
@@ -2149,9 +2237,9 @@ impl Core {
             // view resolves Cancelled.
             self.stats.cancelled.fetch_add(1, Ordering::Relaxed);
             let cancelled = cancelled_outcome(shard.slots[si].fuel_spent);
-            shard.slots[si].state = JobState::Finished(cancelled);
+            shard.slots[si].finish(cancelled);
         } else {
-            shard.slots[si].state = JobState::Finished(outcome);
+            shard.slots[si].finish(outcome);
         }
     }
 
@@ -2196,9 +2284,9 @@ impl Core {
         } else if shard.slots[si].cancel_requested && !outcome.cancelled {
             self.stats.cancelled.fetch_add(1, Ordering::Relaxed);
             let cancelled = cancelled_outcome(shard.slots[si].fuel_spent);
-            shard.slots[si].state = JobState::Finished(cancelled);
+            shard.slots[si].finish(cancelled);
         } else {
-            shard.slots[si].state = JobState::Finished(outcome);
+            shard.slots[si].finish(outcome);
         }
     }
 
@@ -2229,7 +2317,7 @@ impl Core {
             self.record_answer(&waiter_outcome);
             self.observe_waiter(&shard.slots[w as usize], &waiter_outcome);
             self.job_resolved();
-            shard.slots[w as usize].state = JobState::Finished(waiter_outcome);
+            shard.slots[w as usize].finish(waiter_outcome);
         }
     }
 

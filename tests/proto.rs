@@ -27,8 +27,8 @@ use typedtd::chase::{decide, Answer, DecideConfig};
 use typedtd::service::proto::err_code;
 use typedtd::service::{
     decode_frame, parse_query_line, parse_stats_text, parse_universe_spec, Frame, Opcode,
-    ProtoClient, ProtoServer, RunningUpdate, ServiceConfig, SockdConfig, SubmitPayload,
-    WireAnswer, PROTO_VERSION,
+    ProgressKind, ProtoClient, ProtoServer, ProtoStream, RunningUpdate, ServiceConfig, SockdConfig,
+    SubmitPayload, WireAnswer, PROTO_VERSION,
 };
 use typedtd_relational::ValuePool;
 
@@ -645,6 +645,151 @@ fn dropped_connection_maps_to_cancel_and_detach() {
     assert_eq!(answer.implication, Answer::Yes);
     assert!(answer.from_cache, "detached computation must have fed the cache");
     assert_eq!(server.client().stats().cache_hits, hits_before + 1);
+    drop(server);
+}
+
+/// The wire encoding of a `SUBMIT` frame for `(universe, query)`.
+fn submit_frame(corr: u64, (universe, query): (String, String), fuel_cap: Option<u64>) -> Frame {
+    let payload = SubmitPayload {
+        fuel_cap,
+        universe,
+        query,
+        progress: false,
+    };
+    Frame::new(Opcode::Submit, corr, payload.encode())
+}
+
+/// A `CANCEL` that arrives while a driver is still preparing its
+/// `SUBMIT` is remembered, never answered `UNKNOWN_CORR`, and resolves
+/// the job cancelled once its handles arrive; a `STATS` taken meanwhile
+/// counts the submission as submitted and pending.
+#[test]
+fn cancel_before_accepted_resolves_cancelled() {
+    use std::io::Write;
+    let (server, addr) = tcp_server(SockdConfig::default());
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+    let (corr, stats_corr) = (41, 42);
+    let mut wire = Vec::new();
+    submit_frame(corr, divergent_text(30), Some(1_000_000)).encode_into(&mut wire);
+    Frame::new(Opcode::Cancel, corr, Vec::new()).encode_into(&mut wire);
+    Frame::new(Opcode::Stats, stats_corr, Vec::new()).encode_into(&mut wire);
+    // One write, so the connection cuts all three frames in one round,
+    // before it wakes a driver for the SUBMIT.
+    raw.write_all(&wire).expect("write SUBMIT + CANCEL + STATS");
+    let mut client = ProtoClient::over(ProtoStream::Tcp(raw));
+    let (mut accepted, mut early_stats) = (false, None);
+    let answer = loop {
+        let frame = client.recv().expect("frame");
+        let kind = frame.payload.first().copied();
+        match (Opcode::from_u8(frame.opcode), frame.corr) {
+            (Some(Opcode::Progress), c) if c == stats_corr => {
+                assert_eq!(kind, Some(ProgressKind::Stats as u8));
+                let text = String::from_utf8_lossy(&frame.payload[1..]).into_owned();
+                early_stats = Some(parse_stats_text(&text));
+            }
+            (Some(Opcode::Progress), c) if c == corr => {
+                assert_eq!(kind, Some(ProgressKind::Accepted as u8));
+                accepted = true;
+            }
+            (Some(Opcode::Answer), c) if c == corr => {
+                break WireAnswer::decode(&frame.payload).expect("answer");
+            }
+            _ => panic!("an early CANCEL must not be answered so: {frame:?}"),
+        }
+    };
+    let early = early_stats.expect("the STATS reply leaves before the ANSWER");
+    assert_eq!(
+        (early["submitted"], early["pending"], early["cancelled"]),
+        (1, 1, 0),
+        "a SUBMIT being prepared is submitted and pending: {early:?}"
+    );
+    assert!(accepted, "ACCEPTED comes before the ANSWER");
+    assert!(
+        answer.cancelled,
+        "the early CANCEL must cancel the job: {answer:?}"
+    );
+    assert_eq!(answer.implication, Answer::Unknown);
+    let stats = client.stats().expect("stats");
+    assert_eq!(
+        (stats["submitted"], stats["cancelled"], stats["pending"]),
+        (1, 1, 0),
+        "{stats:?}"
+    );
+    drop(client);
+    wait_until("the connection retires its jobs", || {
+        server.client().pending_jobs() == 0 && server.client().live_jobs() == 0
+    });
+    assert_eq!(server.client().stats().check(), Ok(()), "ledger identities");
+}
+
+/// A client that hangs up with `SUBMIT`s still waiting for a driver
+/// leaves nothing behind: each is prepared, submitted and cancelled like
+/// any other submission of a dropped connection.
+#[test]
+fn hangup_with_queued_submits_leaves_no_live_job() {
+    use std::io::Write;
+    let (server, addr) = tcp_server(SockdConfig {
+        drivers: 1,
+        ..SockdConfig::default()
+    });
+    let queued = 16u64;
+    {
+        let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+        let mut wire = Vec::new();
+        for i in 0..queued {
+            submit_frame(i + 1, divergent_text(40 + i as usize), Some(1_000_000))
+                .encode_into(&mut wire);
+        }
+        raw.write_all(&wire).expect("write the SUBMITs");
+    }
+    wait_until("every queued SUBMIT is submitted and settled", || {
+        let c = server.client();
+        c.stats().submitted == queued && c.pending_jobs() == 0 && c.live_jobs() == 0
+    });
+    let stats = server.client().stats();
+    assert_eq!(
+        stats.cancelled, queued,
+        "a dropped connection cancels them all: {stats:?}"
+    );
+    assert_eq!(stats.check(), Ok(()), "ledger identities");
+}
+
+/// A progress-flagged job that computes for tens of milliseconds streams
+/// `Running` frames at about the progress interval, not once per kernel
+/// tick: at least 5 before its `ANSWER`. The query is
+/// Casanova–Fagin–Papadimitriou's, widened so a release build computes
+/// for about 30 ms under a fuel cap: its chase diverges until the decide
+/// budget runs out, and no finite counterexample exists for the search
+/// to find.
+#[test]
+fn long_streamed_job_gets_running_frames_at_the_progress_interval() {
+    let (server, addr) = tcp_server(SockdConfig::default());
+    let mut client = ProtoClient::connect_tcp(addr).expect("connect");
+    let (u, q) = cfp_text(1);
+    let t0 = std::time::Instant::now();
+    let corr = client
+        .submit_with_progress(&u, &q, Some(4096))
+        .expect("submit");
+    let mut updates: Vec<RunningUpdate> = Vec::new();
+    let answer = client
+        .wait_answer_with_progress(corr, |up| updates.push(up))
+        .expect("streamed answer");
+    let took = t0.elapsed();
+    eprintln!("{} Running frames over {took:?}", updates.len());
+    assert_eq!(
+        answer.implication,
+        Answer::Unknown,
+        "finitely implied, not implied"
+    );
+    assert!(
+        updates.len() >= 5,
+        "a job computing for {took:?} must stream at least 5 Running frames, got {}",
+        updates.len()
+    );
+    assert!(
+        updates.windows(2).all(|w| w[0].fuel < w[1].fuel),
+        "Running frames must be strictly fuel-monotone: {updates:?}"
+    );
     drop(server);
 }
 
