@@ -24,7 +24,11 @@
 //! single-client wire overhead is asserted ≤ 2× direct submits. In
 //! `search_refutation` the finite-model search runs alone over
 //! frontier-shaped queries and counts what it refutes and the attempts it
-//! spent.
+//! spent. In `prepare_path` cold- and frontier-shaped query texts go from
+//! parse to answer on one thread, the way a `typedtd-sockd` driver runs
+//! them; each variant's samples are microseconds per query, and the
+//! counters are heap allocations per query, which this binary counts with
+//! a per-thread counting allocator.
 //!
 //! Prints a table by default; with `--json` additionally writes
 //! `BENCH_chase.json`: the host's CPU count, the git revision and the
@@ -55,9 +59,11 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use typedtd_bench::{
-    divergent_saturation_workload, divergent_service_query, egd_cascade_workload,
-    egd_saturation_workload, mvd_chain_instance, saturation_workload, service_batch_workload,
-    shared_sigma_workload, universe, Query,
+    answer_on_this_thread, cold_shape_queries, decide_text, divergent_saturation_workload,
+    divergent_service_query, egd_cascade_workload, egd_saturation_workload,
+    frontier_shape_config, frontier_shape_queries, mvd_chain_instance, saturation_workload,
+    service_batch_workload, shared_sigma_workload, thread_allocations, universe, CountingAlloc,
+    Query, FRONTIER_SHAPE_CAP,
 };
 use typedtd_chase::{
     chase_implication, decide, is_counterexample, saturate, Answer, ChaseConfig, ChaseRun,
@@ -69,6 +75,10 @@ use typedtd_service::{
     parse_query_line, parse_universe_spec, query_parts, ImplicationClient, JobHandle, JobStatus,
     PersistConfig, QuerySpec, ServiceConfig,
 };
+
+/// Counts each thread's allocations for the `prepare_path` row.
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// One timed variant of a workload: what ran, and the median, min and
 /// max wall-clock time over its samples.
@@ -1066,6 +1076,66 @@ fn measure_skewed_steal(jobs: usize, ballast: usize, samples: usize, assert_rati
     }
 }
 
+/// `prepare_path`: `queries` cold-shaped and frontier-shaped query texts
+/// each answered from text on this thread
+/// ([`typedtd_bench::answer_on_this_thread`]), against a fresh one-shard
+/// client per sample, so every query is a cache miss. Each sample is the
+/// mean microseconds per query (stored as nanoseconds, like every
+/// variant); the counters are allocations per query in the last sample.
+/// Every answer is checked against sequential `decide` once, untimed
+/// (a capped frontier part may stay `Unknown`).
+fn measure_prepare_path(queries: usize, samples: usize) -> Record {
+    let shapes = [
+        ("cold", cold_shape_queries(queries, 0x636f_6c64), ServiceConfig::default(), None),
+        (
+            "frontier",
+            frontier_shape_queries(queries, 0x6672_6f6e),
+            frontier_shape_config(),
+            Some(FRONTIER_SHAPE_CAP),
+        ),
+    ];
+    let mut variants = Vec::new();
+    let mut counters = vec![("queries", queries)];
+    for (name, texts, cfg, cap) in shapes {
+        let mut per_query = 0;
+        let mut times = Vec::with_capacity(samples);
+        for _ in 0..samples {
+            let client = ImplicationClient::new(ServiceConfig { shards: 1, ..cfg.clone() });
+            let (a0, t0) = (thread_allocations(), Instant::now());
+            for (uspec, text) in &texts {
+                answer_on_this_thread(&client, uspec, text, cap);
+            }
+            times.push(t0.elapsed() / texts.len() as u32);
+            per_query = (thread_allocations() - a0) as usize / texts.len();
+        }
+        let client = ImplicationClient::new(ServiceConfig { shards: 1, ..cfg });
+        for (uspec, text) in &texts {
+            let got = answer_on_this_thread(&client, uspec, text, cap);
+            // A capped part may stay `Unknown`; definite answers agree.
+            let agree = |g: Answer, w: Answer| {
+                g == w || (cap.is_some() && (g == Answer::Unknown || w == Answer::Unknown))
+            };
+            for (g, w) in got.iter().zip(decide_text(uspec, text)) {
+                assert!(
+                    agree(g.0, w.0) && agree(g.1, w.1),
+                    "prepare_path/{name}: {text} answered {g:?}, decide {w:?}"
+                );
+            }
+        }
+        variants.push(Variant::new(name, times));
+        let counter = match name {
+            "cold" => "cold_allocs_per_query",
+            _ => "frontier_allocs_per_query",
+        };
+        counters.push((counter, per_query));
+    }
+    Record {
+        workload: format!("prepare_path/q{queries}"),
+        variants,
+        counters,
+    }
+}
+
 /// The textual cache-friendly batch for the socket scenario: `distinct`
 /// fd/mvd-chain structures over `A B C D`, each submitted `repeats`
 /// times with Σ rotated (same canonical key, so resubmissions hit the
@@ -1456,6 +1526,7 @@ fn main() {
             measure_skewed_steal(6, 2, 1, false),
             measure_socket_stream(3, 4, 2, 1, false),
             measure_service_warm_restart(3, 2, 1),
+            measure_prepare_path(12, 1),
         ]
     } else {
         vec![
@@ -1502,6 +1573,7 @@ fn main() {
             measure_skewed_steal(24, 4, 3, true),
             measure_socket_stream(5, 10, 4, 15, true),
             measure_service_warm_restart(6, 4, 3),
+            measure_prepare_path(400, 9),
         ]
     };
 

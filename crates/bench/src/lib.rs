@@ -435,6 +435,247 @@ pub fn exchange_td(u: &Arc<Universe>, pool: &mut ValuePool) -> Td {
     .to_td(u, pool)
 }
 
+// ──────────── The query path on one thread (`prepare_path`) ────────────
+
+/// The system allocator, counting each thread's requests for memory
+/// (`alloc`, `alloc_zeroed` and `realloc`). A binary or test that
+/// installs it with `#[global_allocator]` reads the calling thread's count
+/// with [`thread_allocations`].
+pub struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Allocations the calling thread has made so far under [`CountingAlloc`]
+/// (0 where another allocator is installed).
+pub fn thread_allocations() -> u64 {
+    ALLOCS.with(std::cell::Cell::get)
+}
+
+fn count_allocation() {
+    // `try_with`: a thread's last frees run while its locals are torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to the system allocator unchanged; the
+// counter is a const-initialized thread-local `Cell`, which never
+// allocates.
+unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        count_allocation();
+        std::alloc::System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
+        count_allocation();
+        std::alloc::System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
+        count_allocation();
+        std::alloc::System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        std::alloc::System.dealloc(ptr, layout)
+    }
+}
+
+
+const NAMES: [&str; 8] = ["A", "B", "C", "D", "E", "F", "G", "H"];
+
+/// A tiny deterministic generator (64-bit LCG, high bits) for the query
+/// texts below, independent of any RNG crate's stream.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((self.0 >> 33) % n as u64) as usize
+    }
+
+    /// `k` distinct attributes of `0..width`, in random order.
+    fn attrs(&mut self, width: usize, k: usize) -> Vec<usize> {
+        let mut all: Vec<usize> = (0..width).collect();
+        for i in (1..width).rev() {
+            all.swap(i, self.below(i + 1));
+        }
+        all.truncate(k);
+        all
+    }
+}
+
+fn attr_set(attrs: &[usize]) -> String {
+    let mut a = attrs.to_vec();
+    a.sort_unstable();
+    a.iter().map(|&i| NAMES[i]).collect()
+}
+
+/// Left and right sides of an fd or mvd: disjoint, nonempty.
+fn sides(rng: &mut Lcg, width: usize, max_rhs: usize) -> (String, String) {
+    let lhs = 1 + rng.below(2);
+    let rhs = 1 + rng.below(max_rhs);
+    let a = rng.attrs(width, lhs + rhs);
+    (attr_set(&a[..lhs]), attr_set(&a[lhs..]))
+}
+
+/// A total jd of three chained components covering every attribute.
+fn chained_jd(rng: &mut Lcg, width: usize) -> String {
+    let order = rng.attrs(width, width);
+    let c1 = 2 + rng.below(width - 5);
+    let c2 = (4 + rng.below(width - 5)).max(c1 + 1);
+    let comps = [
+        order[..=c1].to_vec(),
+        order[c1..=c2].to_vec(),
+        order[c2..].iter().copied().chain([order[0]]).collect(),
+    ];
+    let comps: Vec<String> = comps.iter().map(|c| attr_set(c)).collect();
+    format!("*[{}]", comps.join(", "))
+}
+
+/// `n` `(universe spec, query text)` pairs shaped like the end-to-end
+/// benchmark's `cold_chase`: typed Σ of 2–3 mvds and 0–2 fds over 6–8
+/// attributes, each asking for a three-component jd.
+pub fn cold_shape_queries(n: usize, seed: u64) -> Vec<(String, String)> {
+    let mut rng = Lcg(seed);
+    (0..n)
+        .map(|i| {
+            let width = 6 + i % 3;
+            let mut sigma: Vec<String> = (0..2 + (i / 3) % 2)
+                .map(|_| {
+                    let (l, r) = sides(&mut rng, width, 2);
+                    format!("{l} ->> {r}")
+                })
+                .collect();
+            for _ in 0..(i / 6) % 3 {
+                let (l, r) = sides(&mut rng, width, 2);
+                sigma.push(format!("{l} -> {r}"));
+            }
+            let goal = chained_jd(&mut rng, width);
+            (NAMES[..width].join(" "), format!("{} |= {goal}", sigma.join(" & ")))
+        })
+        .collect()
+}
+
+/// `n` `(universe spec, query text)` pairs shaped like the end-to-end
+/// benchmark's `frontier_cap` fd+ind queries: untyped fds plus one unary
+/// ind over 3–5 attributes, asking for an fd or a unary ind. Run them
+/// under [`frontier_shape_config`] with a fuel cap of [`FRONTIER_SHAPE_CAP`].
+pub fn frontier_shape_queries(n: usize, seed: u64) -> Vec<(String, String)> {
+    let mut rng = Lcg(seed);
+    (0..n)
+        .map(|_| {
+            let width = 3 + rng.below(3);
+            let ind = |rng: &mut Lcg| {
+                let a = rng.attrs(width, 2);
+                format!("[{}] <= [{}]", NAMES[a[0]], NAMES[a[1]])
+            };
+            let fd = |rng: &mut Lcg| {
+                let (l, r) = sides(rng, width, 1);
+                format!("{l} -> {r}")
+            };
+            let mut sigma: Vec<String> = (0..1 + rng.below(3)).map(|_| fd(&mut rng)).collect();
+            sigma.push(ind(&mut rng));
+            let goal = if rng.below(2) == 0 { fd(&mut rng) } else { ind(&mut rng) };
+            let universe = format!("untyped {}", NAMES[..width].join(" "));
+            (universe, format!("{} |= {goal}", sigma.join(" & ")))
+        })
+        .collect()
+}
+
+/// The fuel cap the frontier shape runs under.
+pub const FRONTIER_SHAPE_CAP: u64 = 128;
+
+/// The service configuration the frontier shape runs under: the defaults
+/// with `dovetail:adaptive`.
+pub fn frontier_shape_config() -> typedtd_service::ServiceConfig {
+    let mut cfg = typedtd_service::ServiceConfig::default();
+    cfg.decide.mode = typedtd_chase::DecideMode::adaptive_dovetail(1);
+    cfg
+}
+
+/// Answers one query on the calling thread the way a `typedtd-sockd`
+/// driver does: parse the text with `parse_query_line`, normalize it with
+/// `try_normalize`, submit one job per goal part (the last part takes Σ
+/// and the pool, earlier parts copies), step the job's shard with
+/// `step_shard` until every part is answered, and read the answers with
+/// `JobHandle::summary` as the connection does. Returns each part's
+/// `(implication, finite implication)`.
+///
+/// # Panics
+/// If the text does not parse, or `client` has more than one shard
+/// (only shard 0 is stepped).
+pub fn answer_on_this_thread(
+    client: &typedtd_service::ImplicationClient,
+    uspec: &str,
+    text: &str,
+    fuel_cap: Option<u64>,
+) -> Vec<(typedtd_chase::Answer, typedtd_chase::Answer)> {
+    use typedtd_service::{parse_query_line, parse_universe_spec, QuerySpec};
+    assert_eq!(client.num_shards(), 1, "one shard, stepped on this thread");
+    let universe = parse_universe_spec(uspec).expect("universe parses");
+    let mut pool = ValuePool::new(universe.clone());
+    let (sigma, goal) = parse_query_line(&universe, &mut pool, text).expect("query parses");
+    let mut sigma_normal = Vec::new();
+    for d in &sigma {
+        sigma_normal.extend(d.try_normalize(&universe, &mut pool).expect("normalizes"));
+    }
+    let class = goal.class();
+    let mut parts = goal.try_normalize(&universe, &mut pool).expect("normalizes");
+    let last = parts.pop().expect("a goal has parts");
+    let mut specs: Vec<_> = parts
+        .into_iter()
+        .map(|part| (part, sigma_normal.clone(), pool.clone()))
+        .collect();
+    specs.push((last, sigma_normal, pool));
+    let handles: Vec<_> = specs
+        .into_iter()
+        .map(|(part, sigma, pool)| {
+            let spec = QuerySpec::new(sigma, part, pool).goal_class(class);
+            client.submit(match fuel_cap {
+                Some(cap) => spec.fuel_cap(cap),
+                None => spec,
+            })
+        })
+        .collect();
+    while client.pending_jobs() > 0 {
+        client.step_shard(0);
+    }
+    handles
+        .iter()
+        .map(|h| {
+            let s = h.summary().expect("every part answered");
+            (s.implication, s.finite_implication)
+        })
+        .collect()
+}
+
+/// Sequential `decide` of each goal part of one query text, with the
+/// default budgets: the reference [`answer_on_this_thread`] is checked
+/// against.
+pub fn decide_text(uspec: &str, text: &str) -> Vec<(typedtd_chase::Answer, typedtd_chase::Answer)> {
+    use typedtd_service::{parse_query_line, parse_universe_spec};
+    let universe = parse_universe_spec(uspec).expect("universe parses");
+    let mut pool = ValuePool::new(universe.clone());
+    let (sigma, goal) = parse_query_line(&universe, &mut pool, text).expect("query parses");
+    let sigma: Vec<TdOrEgd> = sigma
+        .iter()
+        .flat_map(|d| d.normalize(&universe, &mut pool))
+        .collect();
+    let cfg = typedtd_chase::DecideConfig::default();
+    goal.normalize(&universe, &mut pool)
+        .iter()
+        .map(|part| {
+            let d = typedtd_chase::decide(&sigma, part, &mut pool.clone(), &cfg);
+            (d.implication, d.finite_implication)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

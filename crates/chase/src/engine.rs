@@ -67,8 +67,8 @@ use std::ops::ControlFlow;
 use std::sync::Arc;
 use typedtd_dependencies::TdOrEgd;
 use typedtd_relational::{
-    satisfies_row, Embedder, FxHashMap, Relation, RowDelta, ScanScope, ScanStats, Tuple, Universe,
-    Valuation, Value, ValuePool,
+    satisfies_row, Embedder, Embedding, FxHashMap, Relation, RowDelta, ScanScope, ScanStats, Tuple,
+    Universe, Valuation, Value, ValuePool,
 };
 
 /// Budgets for the restricted chase, plus the naive-reference switch.
@@ -245,6 +245,22 @@ impl FrontierDeltas {
     }
 }
 
+/// The td triggers one round collects: each names its dependency and the
+/// span of `pairs` holding its hypothesis embedding as `(source, image)`
+/// bindings. Kept on the task, so rounds reuse both buffers.
+#[derive(Default)]
+struct Triggers {
+    list: Vec<(usize, std::ops::Range<usize>)>,
+    pairs: Vec<(Value, Value)>,
+}
+
+impl Triggers {
+    fn clear(&mut self) {
+        self.list.clear();
+        self.pairs.clear();
+    }
+}
+
 /// The hypothesis rows of either dependency kind.
 fn dep_hypothesis(dep: &TdOrEgd) -> &[Tuple] {
     match dep {
@@ -253,18 +269,32 @@ fn dep_hypothesis(dep: &TdOrEgd) -> &[Tuple] {
     }
 }
 
-/// Checks whether the goal is derivable in the instance.
-fn goal_holds(inst: &mut ChaseInstance, goal: &Goal) -> bool {
+/// Checks whether the goal is derivable in the instance. A td goal's
+/// conclusion must embed with its hypothesis values fixed at their current
+/// representatives: `fixed` holds those bindings, and `trail` is lent to
+/// [`satisfies_row`].
+fn goal_holds(
+    inst: &mut ChaseInstance,
+    goal: &Goal,
+    fixed: &mut Vec<(Value, Value)>,
+    trail: &mut Vec<(Value, Value)>,
+) -> bool {
     match goal {
         TdOrEgd::Egd(e) => inst.identified(e.left(), e.right()),
         TdOrEgd::Td(td) => {
-            let seed = Valuation::from_pairs(
-                td.hypothesis_values()
-                    .into_iter()
-                    .map(|v| (v, inst.resolve(v))),
-            );
-            let emb = Embedder::new(inst.relation());
-            emb.embeds(std::slice::from_ref(td.conclusion()), &seed)
+            fixed.clear();
+            for &v in td.conclusion().values() {
+                let in_hypothesis = td.hypothesis().iter().any(|r| r.values().contains(&v));
+                if in_hypothesis && !fixed.iter().any(|&(s, _)| s == v) {
+                    fixed.push((v, inst.resolve(v)));
+                }
+            }
+            satisfies_row(
+                inst.relation(),
+                td.conclusion(),
+                Embedding::from_pairs(fixed),
+                trail,
+            )
         }
     }
 }
@@ -318,6 +348,13 @@ pub struct ChaseTask {
     seen: Vec<u64>,
     /// Scratch buffer for total-conclusion membership probes.
     key_buf: Vec<Value>,
+    /// The round's td triggers (emptied after application).
+    triggers: Triggers,
+    /// Scratch bindings: a trigger's resolved embedding, or a goal's
+    /// fixed hypothesis values.
+    binds: Vec<(Value, Value)>,
+    /// Scratch trail lent to [`satisfies_row`].
+    trail: Vec<(Value, Value)>,
     rounds: usize,
     /// Equality merges applied so far (the egd half of `steps`); kept as
     /// its own counter so profilers read it without scanning the trace.
@@ -415,6 +452,9 @@ impl ChaseTask {
             total_concl,
             seen,
             key_buf: Vec::new(),
+            triggers: Triggers::default(),
+            binds: Vec::new(),
+            trail: Vec::new(),
             rounds: 0,
             merges: 0,
             touch_plans,
@@ -534,7 +574,7 @@ impl ChaseTask {
     /// Takes `&mut self` because the check resolves values through the
     /// instance's union-find (path compression).
     pub fn goal_derivable(&mut self, goal: &Goal) -> bool {
-        goal_holds(&mut self.inst, goal)
+        goal_holds(&mut self.inst, goal, &mut self.binds, &mut self.trail)
     }
 
     /// Extracts the finished run and the evolved pool.
@@ -549,7 +589,7 @@ impl ChaseTask {
         let run = ChaseRun {
             outcome,
             trace: self.trace,
-            final_relation: self.inst.relation().clone(),
+            final_relation: self.inst.into_relation(),
             rounds: self.rounds,
         };
         (run, self.pool)
@@ -572,28 +612,29 @@ impl ChaseTask {
             return;
         }
         if let Some(g) = &self.goal {
-            if goal_holds(&mut self.inst, g) {
+            if goal_holds(&mut self.inst, g, &mut self.binds, &mut self.trail) {
                 self.done = Some(ChaseOutcome::Implied);
                 return;
             }
         }
-        let triggers = self.collect_td_triggers();
-        if triggers.is_empty() {
+        let mut triggers = std::mem::take(&mut self.triggers);
+        self.collect_td_triggers(&mut triggers);
+        let flow = if triggers.list.is_empty() {
             // Terminal. With a goal, the universal model refutes it; in
             // saturation mode the fixpoint was reached (reported as
             // NotImplied = "terminal").
-            self.done = Some(ChaseOutcome::NotImplied);
-            return;
+            ControlFlow::Break(ChaseOutcome::NotImplied)
+        } else if self.rounds >= self.cfg.max_rounds {
+            ControlFlow::Break(ChaseOutcome::Exhausted)
+        } else {
+            self.apply_td_triggers(&triggers)
+        };
+        triggers.clear();
+        self.triggers = triggers;
+        match flow {
+            ControlFlow::Break(o) => self.done = Some(o),
+            ControlFlow::Continue(()) => self.rounds += 1,
         }
-        if self.rounds >= self.cfg.max_rounds {
-            self.done = Some(ChaseOutcome::Exhausted);
-            return;
-        }
-        if let ControlFlow::Break(o) = self.apply_td_triggers(triggers) {
-            self.done = Some(o);
-            return;
-        }
-        self.rounds += 1;
     }
 
     /// Applies egd merges until none is violated.
@@ -673,25 +714,29 @@ impl ChaseTask {
     }
 
     /// Enumerates the *unsatisfied* td triggers of the current (immutable
-    /// this round) instance.
+    /// this round) instance into `out`.
     ///
     /// Semi-naive: each td only enumerates embeddings touching its delta,
     /// one pinned scan per hypothesis row; its `seen` frontier then
     /// advances to the scanned version. Triggers come out in td, pin, and
-    /// delta order, so the applied trace is deterministic.
-    fn collect_td_triggers(&mut self) -> Vec<(usize, Valuation)> {
+    /// delta order, so the applied trace is deterministic. Each embedding
+    /// is checked through its borrowed view; only a trigger's bindings are
+    /// copied out.
+    fn collect_td_triggers(&mut self, out: &mut Triggers) {
         let scanned_at = self.inst.version();
         let mut deltas = FrontierDeltas::default();
-        let emb = Embedder::new(self.inst.relation());
+        let relation = self.inst.relation();
+        let emb = Embedder::new(relation);
         let seed = Valuation::new();
         let mut stats = ScanStats::default();
-        let mut triggers: Vec<(usize, Valuation)> = Vec::new();
         for (di, dep) in self.sigma.iter().enumerate() {
             let TdOrEgd::Td(td) = dep else { continue };
             let hyp = td.hypothesis();
             let key_buf = &mut self.key_buf;
-            let mut visit = |alpha: &Valuation| {
-                let is_trigger = if self.total_concl[di] {
+            let trail = &mut self.trail;
+            let total = self.total_concl[di];
+            let mut visit = |alpha: Embedding<'_>| {
+                let satisfied = if total {
                     // Total conclusion: satisfaction is literal membership
                     // of the (fully bound) conclusion row — one hash probe.
                     key_buf.clear();
@@ -700,12 +745,14 @@ impl ChaseTask {
                             .val()
                             .map(|v| alpha.get(v).expect("total conclusion bound")),
                     );
-                    !emb.target().contains_values(key_buf)
+                    relation.contains_values(key_buf)
                 } else {
-                    !emb.embeds(std::slice::from_ref(td.conclusion()), alpha)
+                    satisfies_row(relation, td.conclusion(), alpha, trail)
                 };
-                if is_trigger {
-                    triggers.push((di, alpha.clone()));
+                if !satisfied {
+                    let start = out.pairs.len();
+                    out.pairs.extend(alpha.iter());
+                    out.list.push((di, start..out.pairs.len()));
                 }
                 ControlFlow::Continue(())
             };
@@ -723,34 +770,31 @@ impl ChaseTask {
         }
         self.join_build_rows += stats.build_rows;
         self.join_probe_hits += stats.probe_hits;
-        triggers
     }
 
     /// Fires the collected triggers (re-verifying each under the merges and
     /// additions that happened earlier in the round).
-    fn apply_td_triggers(
-        &mut self,
-        triggers: Vec<(usize, Valuation)>,
-    ) -> ControlFlow<ChaseOutcome> {
-        // Trail buffer for the per-trigger satisfaction probes; lent to
-        // `satisfies_row` so the hot loop allocates nothing per trigger.
-        let mut scratch = Vec::new();
-        for (di, alpha) in triggers {
+    fn apply_td_triggers(&mut self, triggers: &Triggers) -> ControlFlow<ChaseOutcome> {
+        // A trigger's bindings, resolved, then extended with fresh nulls,
+        // and the trail for its satisfaction probe: task buffers, so the
+        // hot loop allocates nothing per trigger beyond what it keeps.
+        let mut binds = std::mem::take(&mut self.binds);
+        let mut trail = std::mem::take(&mut self.trail);
+        let mut flow = ControlFlow::Continue(());
+        for (di, span) in &triggers.list {
+            let di = *di;
             let TdOrEgd::Td(td) = &self.sigma[di] else {
                 unreachable!("td trigger indexes a td")
             };
-            // Resolve the trigger under any merges since collection. In
-            // the current round shape no merge can land between the two,
-            // so the common case is a cheap identity check that skips the
-            // map rebuild entirely.
-            let resolved = if alpha
-                .iter()
-                .any(|(_, img)| self.inst.resolve_readonly(img) != img)
-            {
-                Valuation::from_pairs(alpha.iter().map(|(v, img)| (v, self.inst.resolve(img))))
-            } else {
-                alpha
-            };
+            // Resolve the trigger under any merges since collection (in
+            // the current round shape none can land between the two).
+            binds.clear();
+            binds.extend(
+                triggers.pairs[span.clone()]
+                    .iter()
+                    .map(|&(v, img)| (v, self.inst.resolve_readonly(img))),
+            );
+            let resolved = Embedding::from_pairs(&binds);
             if self.total_concl[di] {
                 self.key_buf.clear();
                 self.key_buf.extend(
@@ -761,25 +805,22 @@ impl ChaseTask {
                 if self.inst.relation().contains_values(&self.key_buf) {
                     continue; // satisfied meanwhile
                 }
-            } else if satisfies_row(self.inst.relation(), td.conclusion(), &resolved, &mut scratch)
-            {
+            } else if satisfies_row(self.inst.relation(), td.conclusion(), resolved, &mut trail) {
                 continue; // satisfied meanwhile
             }
             // The trace wants the matched hypothesis rows under the
-            // pre-extension valuation; computing it first lets `resolved`
-            // move into the extension instead of being cloned.
+            // pre-extension valuation.
             let matched = resolved.apply_rows(td.hypothesis());
             // Extend with fresh nulls on existential conclusion values.
-            let mut ext = resolved;
             for a in self.universe.attrs() {
                 let v = td.conclusion().get(a);
-                if ext.get(v).is_none() {
+                if !binds.iter().any(|&(s, _)| s == v) {
                     let sort = Some(a).filter(|_| self.universe.is_typed());
-                    ext.bind(v, self.pool.fresh(sort, "n"));
+                    binds.push((v, self.pool.fresh(sort, "n")));
                 }
             }
-            let row = ext.apply_tuple(td.conclusion());
-            if self.inst.insert(row.clone()) {
+            let row = Embedding::from_pairs(&binds).apply_tuple(td.conclusion());
+            if self.inst.insert(&row) {
                 self.trace.steps.push(ChaseStep {
                     dep: di,
                     matched,
@@ -788,10 +829,13 @@ impl ChaseTask {
                 self.steps += 1;
                 // Budgets can only newly trip on an insert.
                 if self.steps >= self.cfg.max_steps || self.inst.len() >= self.cfg.max_rows {
-                    return ControlFlow::Break(ChaseOutcome::Exhausted);
+                    flow = ControlFlow::Break(ChaseOutcome::Exhausted);
+                    break;
                 }
             }
         }
-        ControlFlow::Continue(())
+        self.binds = binds;
+        self.trail = trail;
+        flow
     }
 }

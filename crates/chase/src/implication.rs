@@ -120,7 +120,9 @@ pub struct Decision {
     pub finite_implication: Answer,
     /// The chase run (trace is a proof when `implication` is `Yes`; in
     /// dovetail mode an abandoned chase reports
-    /// [`ChaseOutcome::Cancelled`] with its progress so far).
+    /// [`ChaseOutcome::Cancelled`] with its progress so far). When the
+    /// chase ends [`ChaseOutcome::NotImplied`] its final instance *is* the
+    /// counterexample and moves there, leaving `final_relation` empty.
     pub chase: ChaseRun,
     /// A finite counterexample when either answer is `No`.
     pub counterexample: Option<Relation>,
@@ -559,7 +561,9 @@ impl DecideTask {
             ChaseOutcome::NotImplied => {
                 // The terminal chase instance is a finite model of Σ
                 // violating σ, so both problems are answered negatively.
-                let cex = run.final_relation.clone();
+                let mut run = run;
+                let empty = Relation::new(run.final_relation.universe().clone());
+                let cex = std::mem::replace(&mut run.final_relation, empty);
                 DecidePhase::Done(
                     Box::new(Decision {
                         implication: Answer::No,

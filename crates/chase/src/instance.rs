@@ -36,6 +36,8 @@ pub struct ChaseInstance {
     /// are kept current across merge compaction (entries of removed rows are
     /// dropped, survivors remapped).
     dirty_log: Vec<(u64, u32)>,
+    /// Scratch for [`ChaseInstance::insert`]'s canonicalized row.
+    canon: Vec<Value>,
 }
 
 impl ChaseInstance {
@@ -50,12 +52,18 @@ impl ChaseInstance {
             version: 1,
             row_versions,
             dirty_log,
+            canon: Vec::new(),
         }
     }
 
     /// The current rows as a relation (canonical representatives only).
     pub fn relation(&self) -> &Relation {
         &self.relation
+    }
+
+    /// The rows as a relation, consuming the instance.
+    pub fn into_relation(self) -> Relation {
+        self.relation
     }
 
     /// The universe of the instance.
@@ -130,9 +138,13 @@ impl ChaseInstance {
 
     /// Inserts a row after canonicalizing its values.
     /// Returns `true` if the row is new.
-    pub fn insert(&mut self, t: Tuple) -> bool {
-        let canon = t.map(|v| self.uf.find(v));
-        if self.relation.insert(canon) {
+    pub fn insert(&mut self, t: &Tuple) -> bool {
+        let mut canon = std::mem::take(&mut self.canon);
+        canon.clear();
+        canon.extend(t.values().iter().map(|&v| self.uf.find(v)));
+        let new = self.relation.insert_values(&canon);
+        self.canon = canon;
+        if new {
             self.version += 1;
             self.row_versions.push(self.version);
             self.dirty_log
@@ -219,7 +231,7 @@ mod tests {
         let row = inst.relation().row(0);
         assert_eq!(row.get(u.a("B'")), row.get(u.a("C'")));
         // Inserting the un-canonical row again is a no-op.
-        assert!(!inst.insert(Tuple::new(vec![a, b, c])));
+        assert!(!inst.insert(&Tuple::new(vec![a, b, c])));
     }
 
     #[test]
@@ -264,7 +276,7 @@ mod tests {
         assert!(inst.delta_since(checkpoint).is_empty());
 
         // An insert dirties exactly the new row.
-        assert!(inst.insert(Tuple::new(vec![d, d, d])));
+        assert!(inst.insert(&Tuple::new(vec![d, d, d])));
         assert_eq!(inst.delta_since(checkpoint).ids(), &[2]);
 
         // A merge dirties exactly the rewritten rows.

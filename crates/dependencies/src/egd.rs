@@ -138,7 +138,7 @@ impl Egd {
             if alpha.get(self.left) == alpha.get(self.right) {
                 ControlFlow::Continue(())
             } else {
-                witness = Some(alpha.clone());
+                witness = Some(alpha.to_valuation());
                 ControlFlow::Break(())
             }
         });

@@ -8,7 +8,8 @@
 use crate::egd::Egd;
 use std::ops::ControlFlow;
 use typedtd_relational::{
-    AttrId, AttrSet, Embedder, Relation, Tuple, Universe, Valuation, ValuePool,
+    satisfies_row, AttrId, AttrSet, Embedder, Embedding, Relation, Tuple, Universe, Valuation,
+    ValuePool,
 };
 use typedtd_relational::FxHashSet;
 use std::sync::Arc;
@@ -139,26 +140,26 @@ impl Td {
     /// into `J` and checking each extends to the conclusion.
     pub fn satisfied_by(&self, j: &Relation) -> bool {
         assert_eq!(j.universe().width(), self.universe.width());
-        let emb = Embedder::new(j);
-        let violated = emb.for_each_embedding(&self.hypothesis, &Valuation::new(), |alpha| {
-            if emb.embeds(std::slice::from_ref(&self.conclusion), alpha) {
-                ControlFlow::Continue(())
-            } else {
-                ControlFlow::Break(())
-            }
-        });
-        !violated
+        self.violation_in(j, |_| ()).is_none()
     }
 
     /// Finds a valuation witnessing `J ⊭ (w, I)`, if one exists.
     pub fn violation(&self, j: &Relation) -> Option<Valuation> {
-        let emb = Embedder::new(j);
+        self.violation_in(j, |alpha| alpha.to_valuation())
+    }
+
+    /// The first hypothesis embedding into `J` that does not extend to the
+    /// conclusion, handed to `keep`. The conclusion check borrows the
+    /// embedding, so only the kept witness is materialized.
+    fn violation_in<T>(&self, j: &Relation, keep: impl FnOnce(Embedding<'_>) -> T) -> Option<T> {
+        let mut scratch = Vec::new();
+        let mut keep = Some(keep);
         let mut witness = None;
-        emb.for_each_embedding(&self.hypothesis, &Valuation::new(), |alpha| {
-            if emb.embeds(std::slice::from_ref(&self.conclusion), alpha) {
+        Embedder::new(j).for_each_embedding(&self.hypothesis, &Valuation::new(), |alpha| {
+            if satisfies_row(j, &self.conclusion, alpha, &mut scratch) {
                 ControlFlow::Continue(())
             } else {
-                witness = Some(alpha.clone());
+                witness = keep.take().map(|k| k(alpha));
                 ControlFlow::Break(())
             }
         });

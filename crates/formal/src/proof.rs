@@ -81,7 +81,7 @@ pub fn verify(sigma: &[TdOrEgd], goal: &TdOrEgd, proof: &Proof) -> Result<(), St
                     ));
                 }
                 let canon = row.map(|v| inst.resolve(v));
-                inst.insert(canon);
+                inst.insert(&canon);
             }
             (StepKind::Merge { kept, gone }, TdOrEgd::Egd(egd)) => {
                 let (k, g) = (inst.resolve(*kept), inst.resolve(*gone));

@@ -3,15 +3,22 @@
 //! Universes produced by the hat-translation of Section 6 have
 //! `|U| · (m(m−1)/2 + 1)` attributes, which exceeds 64 already for modest
 //! tableaux, so a fixed-width word is not enough. `AttrSet` is a compact
-//! variable-width bitset ordered lexicographically by attribute index.
+//! variable-width bitset ordered lexicographically by attribute index, with
+//! its first word inline.
 
 use crate::universe::AttrId;
 use std::fmt;
 
-/// A set of attributes, stored as a bitmap.
+/// A set of attributes, stored as a bitmap. Attributes 0–63 live in an
+/// inline word, so sets over universes of up to 64 attributes never touch
+/// the heap; wider universes spill the rest into `high`.
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct AttrSet {
-    words: Vec<u64>,
+    /// Attributes 0–63.
+    low: u64,
+    /// Attributes from 64 up, 64 per word, with no trailing zero words (so
+    /// derived `Eq`/`Hash` are semantic).
+    high: Vec<u64>,
 }
 
 impl AttrSet {
@@ -20,41 +27,73 @@ impl AttrSet {
         Self::default()
     }
 
+    /// Word `i` of the bitmap (0 past the end).
+    #[inline]
+    fn word(&self, i: usize) -> u64 {
+        match i {
+            0 => self.low,
+            _ => self.high.get(i - 1).copied().unwrap_or(0),
+        }
+    }
+
+    /// Number of stored words.
+    fn words(&self) -> usize {
+        1 + self.high.len()
+    }
+
+    /// The set whose word `i` is `f(i)` for `i < n`.
+    fn from_words(n: usize, f: impl Fn(usize) -> u64) -> Self {
+        let mut out = Self {
+            low: f(0),
+            high: (1..n).map(f).collect(),
+        };
+        out.normalize();
+        out
+    }
+
     /// Drops trailing zero words so that derived `Eq`/`Hash` are semantic.
     fn normalize(&mut self) {
-        while self.words.last() == Some(&0) {
-            self.words.pop();
+        while self.high.last() == Some(&0) {
+            self.high.pop();
         }
     }
 
     /// The set `{0, 1, …, n−1}` (all attributes of a width-`n` universe).
     pub fn full(n: usize) -> Self {
-        let mut s = Self::new();
-        for i in 0..n {
-            s.insert(AttrId(i as u16));
-        }
-        s
+        Self::from_words(n.div_ceil(64).max(1), |i| match n.saturating_sub(64 * i) {
+            0 => 0,
+            k if k >= 64 => u64::MAX,
+            k => (1 << k) - 1,
+        })
     }
 
     /// Inserts `a`; returns `true` if it was not already present.
     pub fn insert(&mut self, a: AttrId) -> bool {
         let (w, b) = (a.0 as usize / 64, a.0 as usize % 64);
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        let had = self.words[w] & (1 << b) != 0;
-        self.words[w] |= 1 << b;
+        let word = match w {
+            0 => &mut self.low,
+            _ => {
+                if w > self.high.len() {
+                    self.high.resize(w, 0);
+                }
+                &mut self.high[w - 1]
+            }
+        };
+        let had = *word & (1 << b) != 0;
+        *word |= 1 << b;
         !had
     }
 
     /// Removes `a`; returns `true` if it was present.
     pub fn remove(&mut self, a: AttrId) -> bool {
         let (w, b) = (a.0 as usize / 64, a.0 as usize % 64);
-        if w >= self.words.len() {
-            return false;
-        }
-        let had = self.words[w] & (1 << b) != 0;
-        self.words[w] &= !(1 << b);
+        let word = match w {
+            0 => &mut self.low,
+            _ if w > self.high.len() => return false,
+            _ => &mut self.high[w - 1],
+        };
+        let had = *word & (1 << b) != 0;
+        *word &= !(1 << b);
         self.normalize();
         had
     }
@@ -63,50 +102,36 @@ impl AttrSet {
     #[inline]
     pub fn contains(&self, a: AttrId) -> bool {
         let (w, b) = (a.0 as usize / 64, a.0 as usize % 64);
-        w < self.words.len() && self.words[w] & (1 << b) != 0
+        self.word(w) & (1 << b) != 0
     }
 
     /// Number of attributes in the set.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        (0..self.words())
+            .map(|i| self.word(i).count_ones() as usize)
+            .sum()
     }
 
     /// `true` if the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        (0..self.words()).all(|i| self.word(i) == 0)
     }
 
     /// Union, written `XY` in the paper.
     pub fn union(&self, other: &Self) -> Self {
-        let n = self.words.len().max(other.words.len());
-        let mut words = vec![0u64; n];
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = self.words.get(i).copied().unwrap_or(0) | other.words.get(i).copied().unwrap_or(0);
-        }
-        Self { words }
+        let n = self.words().max(other.words());
+        Self::from_words(n, |i| self.word(i) | other.word(i))
     }
 
     /// Intersection.
     pub fn intersection(&self, other: &Self) -> Self {
-        let n = self.words.len().min(other.words.len());
-        let mut words = vec![0u64; n];
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = self.words[i] & other.words[i];
-        }
-        let mut out = Self { words };
-        out.normalize();
-        out
+        let n = self.words().min(other.words());
+        Self::from_words(n, |i| self.word(i) & other.word(i))
     }
 
     /// Set difference `self − other`.
     pub fn difference(&self, other: &Self) -> Self {
-        let mut words = self.words.clone();
-        for (i, w) in words.iter_mut().enumerate() {
-            *w &= !other.words.get(i).copied().unwrap_or(0);
-        }
-        let mut out = Self { words };
-        out.normalize();
-        out
+        Self::from_words(self.words(), |i| self.word(i) & !other.word(i))
     }
 
     /// Complement within a width-`n` universe, written `X̄` in the paper.
@@ -116,15 +141,13 @@ impl AttrSet {
 
     /// `true` if `self ⊆ other`.
     pub fn is_subset(&self, other: &Self) -> bool {
-        self.words
-            .iter()
-            .enumerate()
-            .all(|(i, &w)| w & !other.words.get(i).copied().unwrap_or(0) == 0)
+        (0..self.words()).all(|i| self.word(i) & !other.word(i) == 0)
     }
 
     /// Iterates attributes in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = AttrId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
+        (0..self.words()).flat_map(move |wi| {
+            let w = self.word(wi);
             (0..64)
                 .filter(move |b| w & (1u64 << b) != 0)
                 .map(move |b| AttrId((wi * 64 + b) as u16))

@@ -16,14 +16,17 @@
 //! Bindings live on a linear *trail* of `(source, image)` pairs layered over
 //! the read-only seed — source patterns bind a handful of values, so a
 //! linear scan beats per-candidate hash-map writes, and backtracking is a
-//! truncate. A full [`Valuation`] is materialized only when an embedding is
-//! emitted.
+//! truncate. Each emitted embedding reaches its consumer as a borrowed
+//! [`Embedding`] view of seed and trail; a full [`Valuation`] is
+//! materialized only when a consumer keeps it ([`Embedding::to_valuation`]).
 
 use crate::fx::FxHashMap;
 use crate::relation::{ColumnIndex, Relation};
 use crate::tuple::Tuple;
 use crate::universe::AttrId;
 use crate::value::Value;
+use std::borrow::Cow;
+use std::cell::Cell;
 use std::ops::ControlFlow;
 
 /// A partial mapping from values to values.
@@ -86,15 +89,12 @@ impl Valuation {
     /// # Panics
     /// Panics if some value of the tuple is unbound.
     pub fn apply_tuple(&self, t: &Tuple) -> Tuple {
-        t.map(|v| {
-            self.get(v)
-                .unwrap_or_else(|| panic!("valuation undefined on {v:?}"))
-        })
+        Embedding::of(self).apply_tuple(t)
     }
 
     /// Applies the valuation to every row — `α(I)`.
     pub fn apply_rows(&self, rows: &[Tuple]) -> Vec<Tuple> {
-        rows.iter().map(|t| self.apply_tuple(t)).collect()
+        Embedding::of(self).apply_rows(rows)
     }
 }
 
@@ -194,11 +194,77 @@ impl<'d> ScanScope<'d> {
     }
 }
 
-/// Where emitted embeddings go. `Exists` short-circuits without
-/// materializing a [`Valuation`]; `Each` materializes one per emission.
+/// The valuation that binds nothing, for views with no seed.
+static UNBOUND: Valuation = Valuation {
+    map: std::collections::HashMap::with_hasher(std::hash::BuildHasherDefault::new()),
+};
+
+/// One embedding as the search holds it: a seed [`Valuation`] with a
+/// *trail* of further `(source, image)` bindings layered over it, at most
+/// one per source value and none for a value the seed binds. Scans hand
+/// these to their callbacks; the view borrows the search's state, so a
+/// consumer that keeps an embedding copies it out with
+/// [`Embedding::to_valuation`].
+#[derive(Clone, Copy, Debug)]
+pub struct Embedding<'a> {
+    seed: &'a Valuation,
+    trail: &'a [(Value, Value)],
+}
+
+impl<'a> Embedding<'a> {
+    /// A view of `seed` alone.
+    pub fn of(seed: &'a Valuation) -> Self {
+        Self { seed, trail: &[] }
+    }
+
+    /// A view of `pairs` alone: `(source, image)` bindings, at most one per
+    /// source value.
+    pub fn from_pairs(pairs: &'a [(Value, Value)]) -> Self {
+        Self {
+            seed: &UNBOUND,
+            trail: pairs,
+        }
+    }
+
+    /// Image of `v`, if bound.
+    #[inline]
+    pub fn get(&self, v: Value) -> Option<Value> {
+        lookup(self.seed, self.trail, v)
+    }
+
+    /// Every `(source, image)` binding, the seed's first (in unspecified
+    /// order), then the trail's in binding order.
+    pub fn iter(&self) -> impl Iterator<Item = (Value, Value)> + 'a {
+        self.seed.iter().chain(self.trail.iter().copied())
+    }
+
+    /// The embedding as an owned [`Valuation`].
+    pub fn to_valuation(&self) -> Valuation {
+        Valuation::from_pairs(self.iter())
+    }
+
+    /// Applies the embedding to a tuple — `α(w)`.
+    ///
+    /// # Panics
+    /// Panics if some value of the tuple is unbound.
+    pub fn apply_tuple(&self, t: &Tuple) -> Tuple {
+        t.map(|v| {
+            self.get(v)
+                .unwrap_or_else(|| panic!("valuation undefined on {v:?}"))
+        })
+    }
+
+    /// Applies the embedding to every row — `α(I)`.
+    pub fn apply_rows(&self, rows: &[Tuple]) -> Vec<Tuple> {
+        rows.iter().map(|t| self.apply_tuple(t)).collect()
+    }
+}
+
+/// Where emitted embeddings go. `Exists` short-circuits; `Each` hands the
+/// consumer a borrowed [`Embedding`] of seed and trail.
 enum Sink<'s> {
     Exists(&'s mut bool),
-    Each(&'s mut dyn FnMut(&Valuation) -> ControlFlow<()>),
+    Each(&'s mut dyn FnMut(Embedding<'_>) -> ControlFlow<()>),
 }
 
 impl Sink<'_> {
@@ -208,13 +274,7 @@ impl Sink<'_> {
                 **found = true;
                 ControlFlow::Break(())
             }
-            Sink::Each(f) => {
-                let mut alpha = seed.clone();
-                for &(s, t) in trail {
-                    alpha.bind(s, t);
-                }
-                f(&alpha)
-            }
+            Sink::Each(f) => f(Embedding { seed, trail }),
         }
     }
 }
@@ -228,18 +288,23 @@ fn lookup(seed: &Valuation, trail: &[(Value, Value)], v: Value) -> Option<Value>
             return Some(t);
         }
     }
+    if seed.is_empty() {
+        return None;
+    }
     seed.get(v)
 }
 
 /// Reusable embedding searcher for one target relation.
 ///
 /// Borrows the target's incrementally maintained [`ColumnIndex`] —
-/// construction is free of index-build cost. Searching never mutates the
-/// `Embedder`; join counters go to a caller-owned [`ScanStats`].
+/// construction is free of index-build cost. Searching changes nothing
+/// but the binding trail the `Embedder` lends each search (so every scan
+/// through one `Embedder` reuses one buffer); join counters go to a
+/// caller-owned [`ScanStats`].
 pub struct Embedder<'a> {
     target: &'a Relation,
     index: &'a ColumnIndex,
-    attrs: Vec<AttrId>,
+    trail: Cell<Vec<(Value, Value)>>,
 }
 
 impl<'a> Embedder<'a> {
@@ -249,13 +314,22 @@ impl<'a> Embedder<'a> {
         Self {
             target,
             index: target.index(),
-            attrs: target.universe().attrs().collect(),
+            trail: Cell::default(),
         }
     }
 
     /// The target relation.
     pub fn target(&self) -> &'a Relation {
         self.target
+    }
+
+    /// The lent trail, emptied and sized for `source`'s values at most
+    /// once per `Embedder`.
+    fn take_trail(&self, source: &[Tuple]) -> Vec<(Value, Value)> {
+        let mut trail = self.trail.take();
+        trail.clear();
+        trail.reserve(source.iter().map(Tuple::width).sum());
+        trail
     }
 
     /// Calls `f` for every valuation `α ⊇ seed` with `α(source) ⊆ target`.
@@ -266,9 +340,9 @@ impl<'a> Embedder<'a> {
         &self,
         source: &[Tuple],
         seed: &Valuation,
-        f: impl FnMut(&Valuation) -> ControlFlow<()>,
+        f: impl FnMut(Embedding<'_>) -> ControlFlow<()>,
     ) -> bool {
-        let order = Self::scan_plan(source, seed);
+        let order = Self::plan(source, seed, None);
         let mut stats = ScanStats::default();
         self.scan(source, seed, ScanScope::Full, &order, &mut stats, f)
     }
@@ -294,7 +368,7 @@ impl<'a> Embedder<'a> {
         scope: ScanScope<'_>,
         plan: &[usize],
         stats: &mut ScanStats,
-        mut f: impl FnMut(&Valuation) -> ControlFlow<()>,
+        mut f: impl FnMut(Embedding<'_>) -> ControlFlow<()>,
     ) -> bool {
         if let ScanScope::Pinned { delta, pin } = scope {
             assert!(pin < source.len(), "pin {pin} is not a source row");
@@ -302,18 +376,21 @@ impl<'a> Embedder<'a> {
                 return false;
             }
         }
-        let mut trail: Vec<(Value, Value)> = Vec::new();
+        let mut trail = self.take_trail(source);
         let mut sink = Sink::Each(&mut f);
-        self.search(source, plan, 0, seed, &mut trail, scope, stats, &mut sink)
-            .is_break()
+        let broke = self
+            .search(source, plan, 0, seed, &mut trail, scope, stats, &mut sink)
+            .is_break();
+        self.trail.set(trail);
+        broke
     }
 
     /// `true` if some embedding extending `seed` exists (no valuation is
     /// materialized).
     pub fn embeds(&self, source: &[Tuple], seed: &Valuation) -> bool {
-        let order = Self::scan_plan(source, seed);
+        let order = Self::plan(source, seed, None);
         let mut found = false;
-        let mut trail: Vec<(Value, Value)> = Vec::new();
+        let mut trail = self.take_trail(source);
         let mut stats = ScanStats::default();
         let mut sink = Sink::Exists(&mut found);
         let _ = self.search(
@@ -326,6 +403,7 @@ impl<'a> Embedder<'a> {
             &mut stats,
             &mut sink,
         );
+        self.trail.set(trail);
         found
     }
 
@@ -344,7 +422,7 @@ impl<'a> Embedder<'a> {
     /// seed's *bound set*, so a plan may be cached and reused across rounds
     /// whose seeds bind the same values.
     pub fn scan_plan(source: &[Tuple], seed: &Valuation) -> Vec<usize> {
-        Self::plan(source, seed, None)
+        Self::plan(source, seed, None).into_owned()
     }
 
     /// One placement plan per pin for [`ScanScope::Pinned`] scans, each
@@ -352,41 +430,56 @@ impl<'a> Embedder<'a> {
     /// these per dependency: they are invariant across chase rounds.
     pub fn touch_plans(source: &[Tuple], seed: &Valuation) -> Vec<Vec<usize>> {
         (0..source.len())
-            .map(|pin| Self::plan(source, seed, Some(pin)))
+            .map(|pin| Self::plan(source, seed, Some(pin)).into_owned())
             .collect()
     }
 
     /// Orders source rows most-constrained-first: rows sharing values with
     /// the seed or with already-placed rows come early. With `first` set,
     /// that row is placed up front (the semi-naive pin, whose candidate set
-    /// is the small delta).
-    fn plan(source: &[Tuple], seed: &Valuation, first: Option<usize>) -> Vec<usize> {
-        let n = source.len();
-        if n <= 1 {
-            return (0..n).collect();
+    /// is the small delta). Plans of up to two rows borrow a static slice.
+    fn plan(source: &[Tuple], seed: &Valuation, first: Option<usize>) -> Cow<'static, [usize]> {
+        match source.len() {
+            n @ (0 | 1) => Cow::Borrowed(&[0][..n]),
+            2 => {
+                let mut order = [0; 2];
+                Self::place(source, seed, first, &mut order);
+                Cow::Borrowed(if order[0] == 0 { &[0, 1] } else { &[1, 0] })
+            }
+            n => {
+                let mut order = vec![0; n];
+                Self::place(source, seed, first, &mut order);
+                Cow::Owned(order)
+            }
         }
-        let mut placed = vec![false; n];
-        let mut bound: crate::fx::FxHashSet<Value> = seed.iter().map(|(v, _)| v).collect();
-        let mut order = Vec::with_capacity(n);
+    }
+
+    /// Fills `order` (one slot per source row) with [`Self::plan`]'s
+    /// placement.
+    fn place(source: &[Tuple], seed: &Valuation, first: Option<usize>, order: &mut [usize]) {
+        let mut placed = 0;
         if let Some(pin) = first {
-            placed[pin] = true;
-            bound.extend(source[pin].val());
-            order.push(pin);
+            order[0] = pin;
+            placed = 1;
         }
-        while order.len() < n {
-            let best = (0..n)
-                .filter(|&i| !placed[i])
+        // A value is bound once the seed or a placed row holds it; sources
+        // are a handful of rows, so rescanning the placed rows beats a set.
+        while placed < order.len() {
+            let done = &order[..placed];
+            let bound = |v: Value| {
+                seed.get(v).is_some() || done.iter().any(|&i| source[i].values().contains(&v))
+            };
+            let best = (0..source.len())
+                .filter(|i| !done.contains(i))
                 .max_by_key(|&i| {
-                    let b = source[i].val().filter(|v| bound.contains(v)).count();
+                    let b = source[i].val().filter(|&v| bound(v)).count();
                     // Tie-break toward earlier rows for determinism.
                     (b, usize::MAX - i)
                 })
                 .expect("unplaced row exists");
-            placed[best] = true;
-            bound.extend(source[best].val());
-            order.push(best);
+            order[placed] = best;
+            placed += 1;
         }
-        order
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -410,7 +503,8 @@ impl<'a> Embedder<'a> {
         // Choose the cheapest candidate source: the bound column with the
         // shortest posting list, or the whole relation if nothing is bound.
         let mut best: Option<&[u32]> = None;
-        for &a in &self.attrs {
+        let attrs = || (0..row.width()).map(|i| AttrId(i as u16));
+        for a in attrs() {
             if let Some(img) = lookup(seed, trail, row.get(a)) {
                 let posting = self.index.rows_with(a, img);
                 if best.is_none_or(|b| posting.len() < b.len()) {
@@ -441,7 +535,7 @@ impl<'a> Embedder<'a> {
             }
             let mark = trail.len();
             let mut ok = true;
-            for &a in &this.attrs {
+            for a in attrs() {
                 let sv = row.get(a);
                 let tv = this.target.cell(ri as usize, a);
                 match lookup(seed, trail, sv) {
@@ -512,13 +606,14 @@ pub fn embeds(source: &[Tuple], target: &Relation, seed: &Valuation) -> bool {
 /// choice (shortest posting list among seed-bound columns, the whole
 /// relation when nothing is bound) and the same consistency rule for a
 /// value repeated across columns, but with no per-call allocation — the
-/// caller lends `scratch` for the binding trail and no plan or attribute
-/// vector is built. The chase's apply loop probes once per trigger, which
-/// makes the setup cost of a full [`Embedder`] measurable.
+/// caller lends `scratch` for the binding trail and no plan is built. The
+/// seed is a borrowed [`Embedding`], so a scan callback probes its own
+/// embedding without materializing it, and the chase's apply loop probes
+/// once per trigger without a map.
 pub fn satisfies_row(
     target: &Relation,
     row: &Tuple,
-    seed: &Valuation,
+    seed: Embedding<'_>,
     scratch: &mut Vec<(Value, Value)>,
 ) -> bool {
     let index = target.index();
@@ -536,7 +631,12 @@ pub fn satisfies_row(
         for a in target.universe().attrs() {
             let sv = row.get(a);
             let tv = target.cell(ri as usize, a);
-            match lookup(seed, scratch, sv) {
+            let bound = scratch
+                .iter()
+                .find(|&&(s, _)| s == sv)
+                .map(|&(_, t)| t)
+                .or_else(|| seed.get(sv));
+            match bound {
                 Some(existing) if existing != tv => return false,
                 Some(_) => {}
                 None => scratch.push((sv, tv)),
@@ -694,7 +794,7 @@ mod tests {
         source: &[Tuple],
         delta: &RowDelta,
         stats: &mut ScanStats,
-        mut f: impl FnMut(&Valuation) -> ControlFlow<()>,
+        mut f: impl FnMut(Embedding<'_>) -> ControlFlow<()>,
     ) -> bool {
         let seed = Valuation::new();
         let plans = Embedder::touch_plans(source, &seed);
@@ -713,8 +813,8 @@ mod tests {
         n
     }
 
-    /// A valuation as a sorted list of pairs, for order-free comparison.
-    fn pairs(a: &Valuation) -> Vec<(Value, Value)> {
+    /// An embedding as a sorted list of pairs, for order-free comparison.
+    fn pairs(a: Embedding<'_>) -> Vec<(Value, Value)> {
         let mut v: Vec<(Value, Value)> = a.iter().collect();
         v.sort_unstable();
         v
@@ -789,7 +889,7 @@ mod tests {
             .map(|&i| r.row(i as usize).to_tuple())
             .collect();
 
-        let touches = |a: &Valuation| {
+        let touches = |a: Embedding<'_>| {
             let image = a.apply_rows(&pattern);
             image.iter().any(|t| delta_rows.contains(t))
         };
@@ -903,7 +1003,7 @@ mod tests {
                 }
             }
             let mut scratch = Vec::new();
-            let fast = satisfies_row(&r, &row, &seed, &mut scratch);
+            let fast = satisfies_row(&r, &row, Embedding::of(&seed), &mut scratch);
             let slow = Embedder::new(&r).embeds(std::slice::from_ref(&row), &seed);
             assert_eq!(fast, slow, "case {case}: probe row {row:?} seed {seed:?}");
         }

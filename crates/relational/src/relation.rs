@@ -62,7 +62,7 @@ pub struct Relation {
     cols: Vec<Vec<Value>>,
     /// Row-hash buckets: `row_hash → rows with that hash` (dedup without
     /// storing tuples; collisions resolved by column-wise comparison).
-    seen: FxHashMap<u64, Vec<u32>>,
+    seen: FxHashMap<u64, RowIds>,
     index: ColumnIndex,
     /// Memoized `VAL(I)` with per-value cell-occurrence counts.
     val_counts: FxHashMap<Value, u32>,
@@ -81,12 +81,29 @@ impl Relation {
         }
     }
 
-    /// Creates a relation from rows (duplicates are dropped).
+    /// Creates a relation from rows (duplicates are dropped), sized up
+    /// front for as many rows as the iterator promises.
     pub fn from_rows(universe: Arc<Universe>, rows: impl IntoIterator<Item = Tuple>) -> Self {
-        let mut r = Self::new(universe);
+        let rows = rows.into_iter();
+        let mut r = Self::with_capacity(universe, rows.size_hint().0);
         for t in rows {
             r.insert(t);
         }
+        r
+    }
+
+    /// An empty relation with room for `rows` rows before any column,
+    /// dedup bucket or posting map grows.
+    pub fn with_capacity(universe: Arc<Universe>, rows: usize) -> Self {
+        let mut r = Self::new(universe);
+        for col in &mut r.cols {
+            col.reserve(rows);
+        }
+        r.seen.reserve(rows);
+        for col in &mut r.index.cols {
+            col.reserve(rows);
+        }
+        r.val_counts.reserve(rows * r.cols.len());
         r
     }
 
@@ -100,17 +117,16 @@ impl Relation {
     /// # Panics
     /// Panics if the tuple width does not match the universe.
     pub fn insert(&mut self, t: Tuple) -> bool {
-        assert_eq!(
-            t.width(),
-            self.universe.width(),
-            "tuple width must match universe width"
-        );
         self.insert_values(t.values())
     }
 
-    /// Inserts a row given as a value slice in column order (width must
-    /// match). Returns `true` if the row was new.
-    fn insert_values(&mut self, vals: &[Value]) -> bool {
+    /// Inserts a row given as a value slice in column order; returns `true`
+    /// if it was new. Builds no [`Tuple`].
+    ///
+    /// # Panics
+    /// Panics if the slice width does not match the universe.
+    pub fn insert_values(&mut self, vals: &[Value]) -> bool {
+        assert_eq!(vals.len(), self.cols.len(), "row width must match universe width");
         let h = row_hash(vals.iter().copied());
         if let Some(cands) = self.seen.get(&h) {
             if cands.iter().any(|&i| self.row_equals(i as usize, vals)) {
@@ -236,7 +252,7 @@ impl Relation {
     /// # Panics
     /// Panics if some value of the relation is not in the valuation's domain.
     pub fn map(&self, f: &FxHashMap<Value, Value>) -> Relation {
-        let mut out = Relation::new(self.universe.clone());
+        let mut out = Relation::with_capacity(self.universe.clone(), self.len());
         let mut buf: Vec<Value> = Vec::with_capacity(self.universe.width());
         for i in 0..self.len() {
             buf.clear();
@@ -347,7 +363,7 @@ impl Relation {
                 }
             }
             if let Some(cands) = self.seen.get(&h) {
-                for &j in cands {
+                for &j in cands.iter() {
                     if affected.binary_search(&j).is_err() && self.row_equals(j as usize, img) {
                         collision = true;
                         break 'detect;
@@ -365,7 +381,7 @@ impl Relation {
             for &i in &affected {
                 let h_old = self.hash_of_row(i as usize);
                 let bucket = self.seen.get_mut(&h_old).expect("row hashed");
-                bucket.retain(|&j| j != i);
+                bucket.remove(i);
                 if bucket.is_empty() {
                     self.seen.remove(&h_old);
                 }
@@ -502,7 +518,7 @@ impl fmt::Debug for Relation {
 /// preserves that invariant, so iteration over candidates is deterministic.
 #[derive(Clone)]
 pub struct ColumnIndex {
-    cols: Vec<FxHashMap<Value, Vec<u32>>>,
+    cols: Vec<FxHashMap<Value, RowIds>>,
 }
 
 impl ColumnIndex {
@@ -514,10 +530,7 @@ impl ColumnIndex {
 
     /// Row positions whose column `a` holds `v`, ascending.
     pub fn rows_with(&self, a: AttrId, v: Value) -> &[u32] {
-        self.cols[a.index()]
-            .get(&v)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.cols[a.index()].get(&v).map_or(&[], |ids| ids)
     }
 
     /// Distinct values present in column `a` (unspecified order). Every
@@ -557,7 +570,7 @@ impl ColumnIndex {
                 }
                 merged.extend_from_slice(&entry[i..]);
                 merged.extend_from_slice(&old[j..]);
-                *entry = merged;
+                *entry = RowIds::from(merged);
             }
         }
     }
@@ -566,6 +579,78 @@ impl ColumnIndex {
     fn clear(&mut self) {
         for col in &mut self.cols {
             col.clear();
+        }
+    }
+}
+
+/// Row positions: a posting list or a dedup bucket. Up to [`INLINE_IDS`]
+/// positions live inline: most values of a tableau or chase instance sit in
+/// one or two rows, and most row hashes are unique, so building a relation
+/// rarely allocates per value or per row.
+#[derive(Clone)]
+enum RowIds {
+    Inline(u8, [u32; INLINE_IDS]),
+    Heap(Vec<u32>),
+}
+
+/// Positions a [`RowIds`] holds without allocating.
+const INLINE_IDS: usize = 3;
+
+impl Default for RowIds {
+    fn default() -> Self {
+        RowIds::Inline(0, [0; INLINE_IDS])
+    }
+}
+
+impl From<Vec<u32>> for RowIds {
+    fn from(ids: Vec<u32>) -> Self {
+        if ids.len() <= INLINE_IDS {
+            let mut inline = [0; INLINE_IDS];
+            inline[..ids.len()].copy_from_slice(&ids);
+            RowIds::Inline(ids.len() as u8, inline)
+        } else {
+            RowIds::Heap(ids)
+        }
+    }
+}
+
+impl std::ops::Deref for RowIds {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        match self {
+            RowIds::Inline(n, ids) => &ids[..*n as usize],
+            RowIds::Heap(ids) => ids,
+        }
+    }
+}
+
+impl RowIds {
+    fn push(&mut self, id: u32) {
+        match self {
+            RowIds::Inline(n, ids) if (*n as usize) < INLINE_IDS => {
+                ids[*n as usize] = id;
+                *n += 1;
+            }
+            RowIds::Inline(_, ids) => {
+                let mut heap = Vec::with_capacity(2 * INLINE_IDS);
+                heap.extend_from_slice(ids);
+                heap.push(id);
+                *self = RowIds::Heap(heap);
+            }
+            RowIds::Heap(ids) => ids.push(id),
+        }
+    }
+
+    fn remove(&mut self, id: u32) {
+        match self {
+            RowIds::Inline(n, ids) => {
+                if let Some(at) = ids[..*n as usize].iter().position(|&i| i == id) {
+                    ids.copy_within(at + 1..*n as usize, at);
+                    *n -= 1;
+                }
+            }
+            RowIds::Heap(ids) => ids.retain(|&i| i != id),
         }
     }
 }

@@ -102,7 +102,7 @@ impl Tuple {
 
     /// Renders the tuple as `(v1, v2, …)` using pool names.
     pub fn render(&self, pool: &ValuePool) -> String {
-        let parts: Vec<&str> = self.values.iter().map(|&v| pool.name(v)).collect();
+        let parts: Vec<_> = self.values.iter().map(|&v| pool.name(v)).collect();
         format!("({})", parts.join(", "))
     }
 }

@@ -7,8 +7,9 @@
 //! attribute whose domain the value belongs to. Sorts make the paper's
 //! typedness restriction (`A ≠ B ⟹ DOM(A) ∩ DOM(B) = ∅`) machine-checked.
 
-use crate::fx::FxHashMap;
+use crate::fx::{FxHashMap, FxHashSet};
 use crate::universe::{AttrId, Typing, Universe};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -30,14 +31,60 @@ impl fmt::Debug for Value {
     }
 }
 
+/// How a value is named.
+#[derive(Clone)]
+enum Name {
+    /// A name the caller interned.
+    Interned(Arc<str>),
+    /// A fresh value: `"{prefixes[prefix]}{n}"`, rendered on demand.
+    Fresh { prefix: u32, n: u32 },
+}
+
 /// Owner of value metadata for one universe.
+///
+/// Values are *interned* under a caller's name ([`ValuePool::typed`],
+/// [`ValuePool::untyped`], [`ValuePool::for_attr`]) or minted *fresh*
+/// ([`ValuePool::fresh`]): the chase's nulls, the search's domain values and
+/// the variables normalization invents. A fresh value stores only its
+/// prefix and a pool-wide counter; its name `"{prefix}{counter}"` is
+/// rendered on demand by [`ValuePool::name`], so minting one allocates
+/// nothing and cloning a pool copies no strings.
+///
+/// **Names are unique within a sort** (an untyped pool has one sort):
+/// no two values of one sort ever render the same name, whichever was
+/// created first. `fresh` skips a counter whose rendering an existing value
+/// of the sort already has, and interning a name that a fresh value of the
+/// sort renders returns that value. Interned names are kept as given.
 #[derive(Clone)]
 pub struct ValuePool {
     universe: Arc<Universe>,
-    names: Vec<String>,
+    names: Vec<Name>,
     sorts: Vec<Option<AttrId>>,
-    by_key: FxHashMap<(Option<AttrId>, String), Value>,
+    /// Interned values by sort and name; fresh values are never entered.
+    by_key: FxHashMap<(Option<AttrId>, Arc<str>), Value>,
+    /// Every prefix fresh values were minted with, once each.
+    prefixes: Vec<Arc<str>>,
+    /// Fresh values in minting order, which is ascending counter order.
+    fresh_values: Vec<Value>,
+    /// Counters that another name could render as: the numeric tails of
+    /// interned names, and of fresh names whose prefix ends in a digit.
+    /// Only these counters need a clash check when minted.
+    reserved: FxHashSet<u32>,
     fresh: u32,
+}
+
+/// The ways to read `name` as `"{prefix}{counter}"`: every split inside its
+/// trailing run of ASCII digits whose counter has no leading zero and fits
+/// a `u32`.
+fn counter_splits(name: &str) -> impl Iterator<Item = (&str, u32)> {
+    let digits = name.len() - name.trim_end_matches(|c: char| c.is_ascii_digit()).len();
+    (name.len() - digits..name.len()).filter_map(move |k| {
+        let tail = &name[k..];
+        if tail.starts_with('0') {
+            return None;
+        }
+        Some((&name[..k], tail.parse().ok()?))
+    })
 }
 
 impl ValuePool {
@@ -48,6 +95,9 @@ impl ValuePool {
             names: Vec::new(),
             sorts: Vec::new(),
             by_key: FxHashMap::default(),
+            prefixes: Vec::new(),
+            fresh_values: Vec::new(),
+            reserved: FxHashSet::default(),
             fresh: 0,
         }
     }
@@ -67,10 +117,18 @@ impl ValuePool {
         self.names.is_empty()
     }
 
-    fn alloc(&mut self, sort: Option<AttrId>, name: String) -> Value {
+    /// The value of sort `sort` named `name`, interning it if new.
+    fn intern(&mut self, sort: Option<AttrId>, name: &str) -> Value {
+        if let Some(v) = self.get(sort, name) {
+            return v;
+        }
         let v = Value(self.names.len() as u32);
+        let name: Arc<str> = name.into();
+        for (_, n) in counter_splits(&name) {
+            self.reserved.insert(n);
+        }
         self.by_key.insert((sort, name.clone()), v);
-        self.names.push(name);
+        self.names.push(Name::Interned(name));
         self.sorts.push(sort);
         v
     }
@@ -87,10 +145,7 @@ impl ValuePool {
             Typing::Typed,
             "typed() requires a typed universe; use untyped()"
         );
-        if let Some(&v) = self.by_key.get(&(Some(attr), name.to_string())) {
-            return v;
-        }
-        self.alloc(Some(attr), name.to_string())
+        self.intern(Some(attr), name)
     }
 
     /// Interns a value of the shared domain in an **untyped** universe.
@@ -103,10 +158,7 @@ impl ValuePool {
             Typing::Untyped,
             "untyped() requires an untyped universe; use typed()"
         );
-        if let Some(&v) = self.by_key.get(&(None, name.to_string())) {
-            return v;
-        }
-        self.alloc(None, name.to_string())
+        self.intern(None, name)
     }
 
     /// Interns a value appropriate for `attr` under the pool's discipline:
@@ -120,40 +172,77 @@ impl ValuePool {
 
     /// Allocates a brand-new value that is distinct from every existing one.
     ///
-    /// In a typed universe the value is sorted by `attr`. The generated name
-    /// is `"{prefix}{counter}"`, adjusted to avoid clashes.
+    /// In a typed universe the value is sorted by `attr`. Its name is
+    /// `"{prefix}{counter}"` with a pool-wide counter, rendered only when
+    /// asked for; a counter whose rendering is already a name of the sort
+    /// is skipped.
     pub fn fresh(&mut self, attr: Option<AttrId>, prefix: &str) -> Value {
         let sort = match self.universe.typing() {
             Typing::Typed => Some(attr.expect("typed universes require a sort for fresh values")),
             Typing::Untyped => None,
         };
+        let p = match self.prefixes.iter().position(|q| **q == *prefix) {
+            Some(p) => p,
+            None => {
+                self.prefixes.push(prefix.into());
+                self.prefixes.len() - 1
+            }
+        };
+        // A digit-final prefix renders names with several readings, and
+        // another name may already read as `{prefix}{n}` for any `n`.
+        let ambiguous = prefix.ends_with(|c: char| c.is_ascii_digit());
         loop {
             self.fresh += 1;
-            let name = format!("{prefix}{}", self.fresh);
-            // Entry probes the map once with the owned key — fresh minting
-            // is the chase's hottest allocation site, so the extra clone +
-            // rehash of a contains-then-insert sequence matters.
-            match self.by_key.entry((sort, name)) {
-                std::collections::hash_map::Entry::Occupied(_) => continue,
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let v = Value(self.names.len() as u32);
-                    self.names.push(e.key().1.clone());
-                    self.sorts.push(sort);
-                    e.insert(v);
-                    return v;
+            let n = self.fresh;
+            if (ambiguous || self.reserved.contains(&n))
+                && self.get(sort, &format!("{prefix}{n}")).is_some()
+            {
+                continue;
+            }
+            if ambiguous {
+                for (_, m) in counter_splits(&format!("{prefix}{n}")) {
+                    self.reserved.insert(m);
                 }
             }
+            let v = Value(self.names.len() as u32);
+            self.names.push(Name::Fresh { prefix: p as u32, n });
+            self.sorts.push(sort);
+            self.fresh_values.push(v);
+            return v;
         }
     }
 
-    /// Looks a value up without interning it.
+    /// Looks a value up by sort and name without interning it. Finds fresh
+    /// values by their rendered names too.
     pub fn get(&self, sort: Option<AttrId>, name: &str) -> Option<Value> {
-        self.by_key.get(&(sort, name.to_string())).copied()
+        if let Some(&v) = self.by_key.get(&(sort, Arc::from(name))) {
+            return Some(v);
+        }
+        counter_splits(name).find_map(|(prefix, n)| {
+            let p = self.prefixes.iter().position(|q| **q == *prefix)?;
+            let at = self
+                .fresh_values
+                .binary_search_by_key(&n, |&v| match self.names[v.index()] {
+                    Name::Fresh { n, .. } => n,
+                    Name::Interned(_) => unreachable!("fresh_values holds fresh values"),
+                })
+                .ok()?;
+            let v = self.fresh_values[at];
+            let same_prefix =
+                matches!(self.names[v.index()], Name::Fresh { prefix, .. } if prefix as usize == p);
+            (same_prefix && self.sorts[v.index()] == sort).then_some(v)
+        })
     }
 
-    /// Display name of `v`.
-    pub fn name(&self, v: Value) -> &str {
-        &self.names[v.index()]
+    /// Display name of `v`: borrowed for interned values, rendered for
+    /// fresh ones.
+    pub fn name(&self, v: Value) -> Cow<'_, str> {
+        match &self.names[v.index()] {
+            Name::Interned(name) => Cow::Borrowed(name),
+            Name::Fresh { prefix, n } => {
+                Cow::Owned(format!("{}{n}", self.prefixes[*prefix as usize]))
+            }
+        }
     }
 
     /// Sort of `v` (`None` in untyped universes).
@@ -222,6 +311,34 @@ mod tests {
         assert_ne!(f1, f2);
         assert_ne!(f1, named, "fresh must dodge existing names");
         assert_ne!(p.name(f1), p.name(named));
+    }
+
+    /// Fresh names are rendered on demand but stay unique within a sort
+    /// whichever value came first: interning a fresh value's name finds
+    /// that value, and no fresh value renders a name an earlier value has,
+    /// even when a prefix ending in a digit gives a name two readings.
+    #[test]
+    fn fresh_names_stay_unique_in_either_order() {
+        let u = Universe::untyped_abc();
+        let mut p = ValuePool::new(u);
+        let f1 = p.fresh(None, "n");
+        assert_eq!(p.name(f1), "n1");
+        assert_eq!(p.untyped("n1"), f1, "interning a fresh name finds the value");
+        assert_eq!(p.get(None, "n1"), Some(f1));
+        p.untyped("n13");
+        p.fresh(None, "x");
+        // Counter 3 would render "n1" + "3", an interned name.
+        let c = p.fresh(None, "n1");
+        assert_eq!(p.name(c), "n14");
+        for _ in 5..14 {
+            p.fresh(None, "x");
+        }
+        // Counter 14 would render "n" + "14", the name `c` has.
+        let d = p.fresh(None, "n");
+        assert_eq!(p.name(d), "n15");
+        let names: std::collections::HashSet<String> =
+            (0..p.len()).map(|i| p.name(Value(i as u32)).into_owned()).collect();
+        assert_eq!(names.len(), p.len(), "every name is unique");
     }
 
     #[test]

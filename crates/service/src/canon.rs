@@ -228,16 +228,19 @@ pub struct QueryParts {
 
 /// Canonicalizes a query once, returning the key plus the per-dependency
 /// encodings of Σ and of the goal (all under the canonical column
-/// permutation, which is returned alongside).
+/// permutation, which is returned alongside). One set of scratch
+/// buffers serves the whole call, so only the returned encodings are
+/// allocated per dependency.
 pub fn query_parts(sigma: &[TdOrEgd], goal: &TdOrEgd) -> QueryParts {
     let universe = match goal {
         TdOrEgd::Td(t) => t.universe().clone(),
         TdOrEgd::Egd(e) => e.universe().clone(),
     };
     let width = universe.width();
-    let perm = column_order(sigma, Some(goal), width);
-    let dep_keys: Vec<Vec<u32>> = sigma.iter().map(|d| dep_key_under(d, &perm)).collect();
-    let goal_key = dep_key_under(goal, &perm);
+    let mut scratch = Scratch::default();
+    let perm = scratch.column_order(sigma, Some(goal), width);
+    let dep_keys: Vec<Vec<u32>> = sigma.iter().map(|d| scratch.dep_key(d, &perm)).collect();
+    let goal_key = scratch.dep_key(goal, &perm);
     let mut sigma_keys = dep_keys.clone();
     sigma_keys.sort_unstable();
     sigma_keys.dedup();
@@ -276,140 +279,20 @@ fn is_identity(perm: &[u16]) -> bool {
     perm.iter().enumerate().all(|(i, &c)| i == c as usize)
 }
 
-/// The canonical column order for `(sigma, goal)`: columns sorted by an
-/// invariant signature, submitted position breaking ties (tied columns
-/// are not enumerated; see the module docs). A column's signature is the
-/// goal's descriptor of it, when a goal is given, then the sorted
-/// descriptors of it over Σ's *distinct* per-dependency descriptor
-/// vectors, each followed by a sentinel. Deduplicating whole vectors
-/// makes the signature a function of the *set* Σ, so repeating a member
-/// cannot reorder the columns. [`group_query`] passes no goal, so every
-/// member of a Σ-group computes the same permutation whatever its goal's
-/// shape. Columns related by a uniform permutation of the query carry
-/// equal signatures in their permuted positions, so the sort is itself
-/// permutation-invariant. This runs on every submit, so each dependency
-/// is scanned once for all of its columns.
-fn column_order(sigma: &[TdOrEgd], goal: Option<&TdOrEgd>, width: usize) -> Vec<u16> {
-    let mut order: Vec<u16> = (0..width as u16).collect();
-    if !(2..=COL_CAP).contains(&width) {
-        return order;
-    }
-    let mut sigs = vec![Vec::new(); width];
-    if let Some(goal) = goal {
-        for (sig, mut own) in sigs.iter_mut().zip(dep_col_descs(goal, width)) {
-            own.push(u32::MAX);
-            *sig = own;
-        }
-    }
-    let mut descs: Vec<Vec<Vec<u32>>> = sigma.iter().map(|d| dep_col_descs(d, width)).collect();
-    descs.sort_unstable();
-    descs.dedup();
-    for (c, sig) in sigs.iter_mut().enumerate() {
-        let mut col: Vec<&Vec<u32>> = descs.iter().map(|d| &d[c]).collect();
-        col.sort_unstable();
-        for d in col {
-            sig.extend(d);
-            sig.push(u32::MAX);
-        }
-    }
-    order.sort_by(|&a, &b| sigs[a as usize].cmp(&sigs[b as usize]).then(a.cmp(&b)));
-    order
-}
-
-/// One dependency's descriptors, one per column: counts only (invariant
-/// under value renaming and hypothesis-row order), computed in a single
-/// pass over the tableau.
-fn dep_col_descs(dep: &TdOrEgd, width: usize) -> Vec<Vec<u32>> {
-    let hyp = match dep {
-        TdOrEgd::Td(t) => t.hypothesis(),
-        TdOrEgd::Egd(e) => e.hypothesis(),
-    };
-    // Per column: the column's values (for the frequency profile) and the
-    // cross-column sharing count, gathered row by row.
-    let mut col_vals: Vec<Vec<Value>> = vec![Vec::with_capacity(hyp.len()); width];
-    let mut shared = vec![0u32; width];
-    for row in hyp {
-        let vals = row.values();
-        for (c, v) in vals.iter().enumerate() {
-            col_vals[c].push(*v);
-            shared[c] += vals
-                .iter()
-                .enumerate()
-                .filter(|&(i, w)| i != c && w == v)
-                .count() as u32;
-        }
-    }
-    (0..width)
-        .map(|c| {
-            let mut out = Vec::with_capacity(8 + hyp.len());
-            // Value-frequency profile: sorted multiset of per-distinct-
-            // value occurrence counts (tableaux are small, so a sort
-            // beats a hash map).
-            col_vals[c].sort_unstable();
-            let mut profile: Vec<u32> = Vec::new();
-            let mut run = 0u32;
-            for (i, v) in col_vals[c].iter().enumerate() {
-                run += 1;
-                if i + 1 == col_vals[c].len() || col_vals[c][i + 1] != *v {
-                    profile.push(run);
-                    run = 0;
-                }
-            }
-            profile.sort_unstable();
-            match dep {
-                TdOrEgd::Td(t) => {
-                    let w = t.conclusion().values();
-                    out.push(0);
-                    out.push(hyp.len() as u32);
-                    out.push(profile.len() as u32);
-                    out.push(shared[c]);
-                    out.extend(&profile);
-                    // Conclusion linkage: same-column hypothesis
-                    // occurrences of the conclusion value, its repeats
-                    // across the conclusion row, and whether it is
-                    // existential (fresh anywhere).
-                    let same_col =
-                        hyp.iter().filter(|r| r.values()[c] == w[c]).count() as u32;
-                    let in_concl = w
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, v)| i != c && *v == w[c])
-                        .count();
-                    let fresh = !hyp.iter().any(|r| r.values().contains(&w[c]));
-                    out.push(same_col);
-                    out.push(in_concl as u32);
-                    out.push(u32::from(fresh));
-                }
-                TdOrEgd::Egd(e) => {
-                    out.push(1);
-                    out.push(hyp.len() as u32);
-                    out.push(profile.len() as u32);
-                    out.push(shared[c]);
-                    out.extend(&profile);
-                    // Equality linkage, order-normalized (the equality
-                    // is symmetric): same-column occurrence counts of
-                    // each equated value.
-                    let l =
-                        hyp.iter().filter(|r| r.values()[c] == e.left()).count() as u32;
-                    let r = hyp
-                        .iter()
-                        .filter(|row| row.values()[c] == e.right())
-                        .count() as u32;
-                    out.push(l.min(r));
-                    out.push(l.max(r));
-                }
-            }
-            out
-        })
-        .collect()
-}
-
 /// What follows the hypothesis rows in a dependency encoding.
 enum Tail<'a> {
     /// A td's conclusion row (may contain existential values).
     Row(&'a Tuple),
     /// An egd's equated pair (order-normalized: the equality is symmetric).
     Pair(Value, Value),
+}
+
+/// The hypothesis rows of either dependency kind.
+fn hypothesis(dep: &TdOrEgd) -> &[Tuple] {
+    match dep {
+        TdOrEgd::Td(t) => t.hypothesis(),
+        TdOrEgd::Egd(e) => e.hypothesis(),
+    }
 }
 
 /// Canonical encoding of one dependency, invariant under variable renaming
@@ -420,179 +303,358 @@ pub fn dep_key(dep: &TdOrEgd) -> Vec<u32> {
         TdOrEgd::Egd(e) => e.universe().width(),
     };
     let identity: Vec<u16> = (0..width as u16).collect();
-    dep_key_under(dep, &identity)
+    Scratch::default().dep_key(dep, &identity)
 }
 
-/// As [`dep_key`] but reading columns through `perm` (canonical position
-/// `i` reads submitted column `perm[i]`) — the per-dependency piece of the
-/// query-wide column-permutation normalization.
-fn dep_key_under(dep: &TdOrEgd, perm: &[u16]) -> Vec<u32> {
-    match dep {
-        TdOrEgd::Td(t) => {
-            let mut out = vec![TAG_TD, t.hypothesis().len() as u32];
-            out.extend(canonical_rows(t.hypothesis(), &Tail::Row(t.conclusion()), perm));
-            out
+/// The buffers one canonicalization pass reuses for every dependency it
+/// encodes, so per-dependency work allocates nothing but its result.
+#[derive(Default)]
+struct Scratch {
+    /// Column descriptors, flat; `desc_spans[d * width + c]` is the span of
+    /// dependency `d`'s descriptor of column `c` (the goal, when given,
+    /// follows Σ as dependency `sigma.len()`).
+    desc: Vec<u32>,
+    desc_spans: Vec<(usize, usize)>,
+    /// One column's values (for its frequency profile), and the profile.
+    col_vals: Vec<Value>,
+    profile: Vec<u32>,
+    /// Column signatures, flat; `sig_spans[c]` is column `c`'s span.
+    sig: Vec<u32>,
+    sig_spans: Vec<(usize, usize)>,
+    /// Dependency indices (distinct descriptor vectors, then one column's
+    /// order over them).
+    deps: Vec<usize>,
+    col_order: Vec<usize>,
+    /// The row-order search: values numbered so far, rows placed, the
+    /// encoding of the placed prefix, every level's candidate encodings
+    /// stacked, one complete candidate, and the best complete encoding
+    /// found.
+    numbering: Numbering,
+    used: Vec<bool>,
+    acc: Vec<u32>,
+    levels: Vec<u32>,
+    candidate: Vec<u32>,
+    best: Vec<u32>,
+}
+
+impl Scratch {
+    /// The canonical column order for `(sigma, goal)`: columns sorted by
+    /// an invariant signature, submitted position breaking ties (tied
+    /// columns are not enumerated; see the module docs). A column's
+    /// signature is the goal's descriptor of it, when a goal is given,
+    /// then the sorted descriptors of it over Σ's *distinct* per-dependency
+    /// descriptor vectors, each followed by a sentinel. Deduplicating whole
+    /// vectors makes the signature a function of the *set* Σ, so repeating
+    /// a member cannot reorder the columns. [`group_query`] passes no goal,
+    /// so every member of a Σ-group computes the same permutation whatever
+    /// its goal's shape. Columns related by a uniform permutation of the
+    /// query carry equal signatures in their permuted positions, so the
+    /// sort is itself permutation-invariant. This runs on every submit, so
+    /// each dependency is scanned once for all of its columns.
+    fn column_order(
+        &mut self,
+        sigma: &[TdOrEgd],
+        goal: Option<&TdOrEgd>,
+        width: usize,
+    ) -> Vec<u16> {
+        let mut order: Vec<u16> = (0..width as u16).collect();
+        if !(2..=COL_CAP).contains(&width) {
+            return order;
         }
-        TdOrEgd::Egd(e) => {
-            let mut out = vec![TAG_EGD, e.hypothesis().len() as u32];
-            out.extend(canonical_rows(
-                e.hypothesis(),
-                &Tail::Pair(e.left(), e.right()),
-                perm,
-            ));
-            out
+        self.desc.clear();
+        self.desc_spans.clear();
+        for dep in sigma.iter().chain(goal) {
+            self.push_col_descs(dep, width);
+        }
+        let span = |d: usize, c: usize| {
+            let (a, b) = self.desc_spans[d * width + c];
+            &self.desc[a..b]
+        };
+        // Σ's distinct descriptor vectors (compared column by column).
+        self.deps.clear();
+        self.deps.extend(0..sigma.len());
+        let vector_cmp = |&a: &usize, &b: &usize| {
+            (0..width)
+                .map(|c| span(a, c).cmp(span(b, c)))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        };
+        self.deps.sort_unstable_by(vector_cmp);
+        self.deps.dedup_by(|a, b| vector_cmp(a, b).is_eq());
+        self.sig.clear();
+        self.sig_spans.clear();
+        for c in 0..width {
+            let start = self.sig.len();
+            if goal.is_some() {
+                self.sig.extend_from_slice(span(sigma.len(), c));
+                self.sig.push(u32::MAX);
+            }
+            self.col_order.clear();
+            self.col_order.extend_from_slice(&self.deps);
+            self.col_order.sort_unstable_by(|&a, &b| span(a, c).cmp(span(b, c)));
+            for &d in &self.col_order {
+                self.sig.extend_from_slice(span(d, c));
+                self.sig.push(u32::MAX);
+            }
+            self.sig_spans.push((start, self.sig.len()));
+        }
+        let sig = |c: u16| {
+            let (a, b) = self.sig_spans[c as usize];
+            &self.sig[a..b]
+        };
+        order.sort_by(|&a, &b| sig(a).cmp(sig(b)).then(a.cmp(&b)));
+        order
+    }
+
+    /// Appends one dependency's descriptors, one per column: counts only
+    /// (invariant under value renaming and hypothesis-row order).
+    fn push_col_descs(&mut self, dep: &TdOrEgd, width: usize) {
+        let hyp = hypothesis(dep);
+        for c in 0..width {
+            let start = self.desc.len();
+            // Value-frequency profile: sorted multiset of per-distinct-
+            // value occurrence counts (tableaux are small, so a sort beats
+            // a hash map).
+            self.col_vals.clear();
+            self.col_vals.extend(hyp.iter().map(|r| r.values()[c]));
+            self.col_vals.sort_unstable();
+            self.profile.clear();
+            let mut run = 0u32;
+            for (i, v) in self.col_vals.iter().enumerate() {
+                run += 1;
+                if i + 1 == self.col_vals.len() || self.col_vals[i + 1] != *v {
+                    self.profile.push(run);
+                    run = 0;
+                }
+            }
+            self.profile.sort_unstable();
+            // Cross-column sharing: other cells of the column's rows
+            // holding the column's value.
+            let shared: usize = hyp
+                .iter()
+                .map(|r| {
+                    let vals = r.values();
+                    vals.iter().enumerate().filter(|&(i, w)| i != c && *w == vals[c]).count()
+                })
+                .sum();
+            let kind = u32::from(matches!(dep, TdOrEgd::Egd(_)));
+            self.desc.extend([kind, hyp.len() as u32, self.profile.len() as u32, shared as u32]);
+            self.desc.extend_from_slice(&self.profile);
+            match dep {
+                TdOrEgd::Td(t) => {
+                    // Conclusion linkage: same-column hypothesis
+                    // occurrences of the conclusion value, its repeats
+                    // across the conclusion row, and whether it is
+                    // existential (fresh anywhere).
+                    let w = t.conclusion().values();
+                    let same_col = hyp.iter().filter(|r| r.values()[c] == w[c]).count();
+                    let in_concl =
+                        w.iter().enumerate().filter(|&(i, v)| i != c && *v == w[c]).count();
+                    let fresh = !hyp.iter().any(|r| r.values().contains(&w[c]));
+                    self.desc.extend([same_col as u32, in_concl as u32, u32::from(fresh)]);
+                }
+                TdOrEgd::Egd(e) => {
+                    // Equality linkage, order-normalized (the equality is
+                    // symmetric): same-column occurrence counts of each
+                    // equated value.
+                    let l = hyp.iter().filter(|r| r.values()[c] == e.left()).count() as u32;
+                    let r = hyp.iter().filter(|r| r.values()[c] == e.right()).count() as u32;
+                    self.desc.extend([l.min(r), l.max(r)]);
+                }
+            }
+            self.desc_spans.push((start, self.desc.len()));
         }
     }
-}
 
-/// Encodes `row` (read through `perm`) under `numbering`, assigning
-/// provisional ids (starting at `numbering.len()`) to unseen values in
-/// canonical column order. Returns the encoded tuple and the newly seen
-/// values in assignment order.
-fn encode_row(row: &Tuple, numbering: &FxHashMap<Value, u32>, perm: &[u16]) -> (Vec<u32>, Vec<Value>) {
-    let vals = row.values();
-    let mut enc = Vec::with_capacity(perm.len());
-    let mut fresh: Vec<Value> = Vec::new();
-    for &c in perm {
-        let v = &vals[c as usize];
-        if let Some(&id) = numbering.get(v) {
-            enc.push(id);
-        } else if let Some(pos) = fresh.iter().position(|f| f == v) {
-            enc.push((numbering.len() + pos) as u32);
-        } else {
-            enc.push((numbering.len() + fresh.len()) as u32);
-            fresh.push(*v);
+    /// `dep`'s canonical encoding `[tag, rows, row ids…, tail ids…]`, reading
+    /// columns through `perm` (canonical position `i` reads submitted
+    /// column `perm[i]`) — the per-dependency piece of the query-wide
+    /// column-permutation normalization.
+    fn dep_key(&mut self, dep: &TdOrEgd, perm: &[u16]) -> Vec<u32> {
+        let (tag, rows, tail) = match dep {
+            TdOrEgd::Td(t) => (TAG_TD, t.hypothesis(), Tail::Row(t.conclusion())),
+            TdOrEgd::Egd(e) => (TAG_EGD, e.hypothesis(), Tail::Pair(e.left(), e.right())),
+        };
+        self.canonical_rows(rows, &tail, perm);
+        let mut out = Vec::with_capacity(2 + self.best.len());
+        out.extend([tag, rows.len() as u32]);
+        out.extend_from_slice(&self.best);
+        out
+    }
+
+    /// Leaves in `best` the lexicographically minimal encoding of `rows ++
+    /// tail` over all row orders, or the submitted-order encoding when the
+    /// search would blow up.
+    fn canonical_rows(&mut self, rows: &[Tuple], tail: &Tail<'_>, perm: &[u16]) {
+        let cells = (rows.len() + 1) * perm.len();
+        self.numbering.reset(cells);
+        self.acc.clear();
+        self.best.clear();
+        if rows.len() <= ROW_CAP {
+            self.used.clear();
+            self.used.resize(rows.len(), false);
+            self.levels.clear();
+            let mut leaves = 0;
+            if self.dfs(rows, tail, perm, &mut leaves) {
+                return;
+            }
+            self.numbering.reset(cells);
+            self.acc.clear();
         }
-    }
-    (enc, fresh)
-}
-
-/// Appends the tail encoding under (a copy of) `numbering`.
-fn encode_tail(tail: &Tail<'_>, numbering: &FxHashMap<Value, u32>, perm: &[u16]) -> Vec<u32> {
-    match tail {
-        Tail::Row(conclusion) => encode_row(conclusion, numbering, perm).0,
-        Tail::Pair(l, r) => {
-            let li = numbering[l];
-            let ri = numbering[r];
-            vec![li.min(ri), li.max(ri)]
+        // Submitted row order (renaming-invariant only).
+        for row in rows {
+            encode_row(row, perm, &mut self.numbering, &mut self.acc);
         }
+        self.best.clear();
+        self.best.extend_from_slice(&self.acc);
+        encode_tail(tail, perm, &mut self.numbering, &mut self.best);
     }
-}
 
-/// The lexicographically minimal encoding of `rows ++ tail` over all row
-/// orders, or the identity-order encoding when the search would blow up.
-fn canonical_rows(rows: &[Tuple], tail: &Tail<'_>, perm: &[u16]) -> Vec<u32> {
-    if rows.len() > ROW_CAP {
-        return identity_encoding(rows, tail, perm);
-    }
-    let mut search = Search {
-        rows,
-        tail,
-        perm,
-        best: None,
-        leaves: 0,
-        aborted: false,
-    };
-    let mut used = vec![false; rows.len()];
-    let mut numbering = FxHashMap::default();
-    let mut acc = Vec::new();
-    search.dfs(&mut used, &mut numbering, &mut acc);
-    if search.aborted {
-        return identity_encoding(rows, tail, perm);
-    }
-    search.best.expect("nonempty hypothesis yields a best order")
-}
-
-/// Encoding in the submitted row order (renaming-invariant only).
-fn identity_encoding(rows: &[Tuple], tail: &Tail<'_>, perm: &[u16]) -> Vec<u32> {
-    let mut numbering = FxHashMap::default();
-    let mut out = Vec::new();
-    for row in rows {
-        let (enc, fresh) = encode_row(row, &numbering, perm);
-        for v in fresh {
-            let id = numbering.len() as u32;
-            numbering.insert(v, id);
-        }
-        out.extend(enc);
-    }
-    out.extend(encode_tail(tail, &numbering, perm));
-    out
-}
-
-struct Search<'a> {
-    rows: &'a [Tuple],
-    tail: &'a Tail<'a>,
-    perm: &'a [u16],
-    best: Option<Vec<u32>>,
-    leaves: usize,
-    aborted: bool,
-}
-
-impl Search<'_> {
     /// Backtracking minimal-order search. At every level only the rows
     /// whose encoded tuple is lexicographically minimal under the current
     /// numbering can extend a minimal prefix (encodings have fixed width,
     /// so prefix dominance is exact); ties branch because they bind
-    /// different values.
-    fn dfs(
-        &mut self,
-        used: &mut [bool],
-        numbering: &mut FxHashMap<Value, u32>,
-        acc: &mut Vec<u32>,
-    ) {
-        if self.aborted {
-            return;
-        }
-        if acc.len() == self.rows.len() * self.rows.first().map_or(0, Tuple::width) {
-            self.leaves += 1;
-            if self.leaves > LEAF_CAP {
-                self.aborted = true;
-                return;
+    /// different values. Returns `false` once more than [`LEAF_CAP`]
+    /// complete orders were examined.
+    fn dfs(&mut self, rows: &[Tuple], tail: &Tail<'_>, perm: &[u16], leaves: &mut usize) -> bool {
+        let width = perm.len();
+        if self.acc.len() == rows.len() * width {
+            *leaves += 1;
+            if *leaves > LEAF_CAP {
+                return false;
             }
-            let mut candidate = acc.to_vec();
-            candidate.extend(encode_tail(self.tail, numbering, self.perm));
-            if self.best.as_ref().is_none_or(|b| candidate < *b) {
-                self.best = Some(candidate);
+            self.candidate.clear();
+            self.candidate.extend_from_slice(&self.acc);
+            encode_tail(tail, perm, &mut self.numbering, &mut self.candidate);
+            if self.best.is_empty() || self.candidate < self.best {
+                std::mem::swap(&mut self.best, &mut self.candidate);
             }
-            return;
+            return true;
         }
-        // Encode every unused row once, keep the minimal encoded tuple.
-        let candidates: Vec<(usize, Vec<u32>, Vec<Value>)> = self
-            .rows
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !used[*i])
-            .map(|(i, row)| {
-                let (enc, fresh) = encode_row(row, numbering, self.perm);
-                (i, enc, fresh)
-            })
-            .collect();
-        let min_enc = candidates
-            .iter()
-            .map(|(_, enc, _)| enc)
-            .min()
-            .expect("unused row exists below full depth")
-            .clone();
-        for (i, enc, fresh) in candidates {
-            if enc != min_enc {
+        // Encode every unused row once, without numbering its new values.
+        let base = self.levels.len();
+        for (i, row) in rows.iter().enumerate() {
+            if !self.used[i] {
+                let mark = self.numbering.len();
+                encode_row(row, perm, &mut self.numbering, &mut self.levels);
+                self.numbering.truncate(mark);
+            }
+        }
+        // Candidate `k`'s encoding (the `k`-th unused row's).
+        fn enc(levels: &[u32], base: usize, width: usize, k: usize) -> &[u32] {
+            &levels[base + k * width..base + (k + 1) * width]
+        }
+        let unused = (self.levels.len() - base) / width;
+        let min = (1..unused).fold(0, |m, k| {
+            if enc(&self.levels, base, width, k) < enc(&self.levels, base, width, m) {
+                k
+            } else {
+                m
+            }
+        });
+        let mut k = 0;
+        for i in 0..rows.len() {
+            if self.used[i] {
                 continue;
             }
-            used[i] = true;
-            for v in &fresh {
-                let id = numbering.len() as u32;
-                numbering.insert(*v, id);
+            k += 1;
+            if enc(&self.levels, base, width, k - 1) != enc(&self.levels, base, width, min) {
+                continue;
             }
-            let mark = acc.len();
-            acc.extend(&enc);
-            self.dfs(used, numbering, acc);
-            acc.truncate(mark);
-            for v in &fresh {
-                numbering.remove(v);
+            self.used[i] = true;
+            let (mark, acc_mark) = (self.numbering.len(), self.acc.len());
+            encode_row(&rows[i], perm, &mut self.numbering, &mut self.acc);
+            let complete = self.dfs(rows, tail, perm, leaves);
+            self.acc.truncate(acc_mark);
+            self.numbering.truncate(mark);
+            self.used[i] = false;
+            if !complete {
+                return false;
             }
-            used[i] = false;
-            if self.aborted {
-                return;
+        }
+        self.levels.truncate(base);
+        true
+    }
+}
+
+/// Cells (rows plus tail, times width) above which a [`Numbering`] also
+/// keeps a hash index: a linear scan beats hashing for the usual handful
+/// of values, but would make wide tableaux quadratic.
+const LINEAR_NUMBERING: usize = 64;
+
+/// Values numbered in first-occurrence order: a value's id is its
+/// position. Backtracking truncates.
+#[derive(Default)]
+struct Numbering {
+    order: Vec<Value>,
+    /// `order` inverted, kept only for tableaux past [`LINEAR_NUMBERING`].
+    index: FxHashMap<Value, u32>,
+    indexed: bool,
+}
+
+impl Numbering {
+    /// Empties the numbering for a tableau of `cells` cells.
+    fn reset(&mut self, cells: usize) {
+        self.order.clear();
+        self.index.clear();
+        self.indexed = cells > LINEAR_NUMBERING;
+    }
+
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    fn id(&self, v: Value) -> Option<u32> {
+        if self.indexed {
+            self.index.get(&v).copied()
+        } else {
+            self.order.iter().position(|&w| w == v).map(|id| id as u32)
+        }
+    }
+
+    /// `v`'s id, numbering it next if it is new.
+    fn id_or_push(&mut self, v: Value) -> u32 {
+        self.id(v).unwrap_or_else(|| {
+            let id = self.order.len() as u32;
+            self.order.push(v);
+            if self.indexed {
+                self.index.insert(v, id);
             }
+            id
+        })
+    }
+
+    /// Forgets every value numbered after the first `mark`.
+    fn truncate(&mut self, mark: usize) {
+        if self.indexed {
+            for v in &self.order[mark..] {
+                self.index.remove(v);
+            }
+        }
+        self.order.truncate(mark);
+    }
+}
+
+/// Appends `row`'s encoding (read through `perm`) to `out`, numbering
+/// new values in canonical column order.
+fn encode_row(row: &Tuple, perm: &[u16], numbering: &mut Numbering, out: &mut Vec<u32>) {
+    let vals = row.values();
+    out.extend(perm.iter().map(|&c| numbering.id_or_push(vals[c as usize])));
+}
+
+/// Appends the tail's encoding under `numbering`, leaving the numbering
+/// as it found it.
+fn encode_tail(tail: &Tail<'_>, perm: &[u16], numbering: &mut Numbering, out: &mut Vec<u32>) {
+    match tail {
+        Tail::Row(conclusion) => {
+            let mark = numbering.len();
+            encode_row(conclusion, perm, numbering, out);
+            numbering.truncate(mark);
+        }
+        Tail::Pair(l, r) => {
+            let id = |v: Value| numbering.id(v).expect("equated values occur in the hypothesis");
+            let (li, ri) = (id(*l), id(*r));
+            out.extend([li.min(ri), li.max(ri)]);
         }
     }
 }
@@ -650,11 +712,12 @@ pub fn group_query(sigma: &[TdOrEgd], goal: &TdOrEgd) -> Option<GroupQuery> {
     if width == 0 {
         return None;
     }
-    let perm = column_order(sigma, None, width);
-    let mut sigma_keys: Vec<Vec<u32>> = sigma.iter().map(|d| dep_key_under(d, &perm)).collect();
+    let mut scratch = Scratch::default();
+    let perm = scratch.column_order(sigma, None, width);
+    let mut sigma_keys: Vec<Vec<u32>> = sigma.iter().map(|d| scratch.dep_key(d, &perm)).collect();
     sigma_keys.sort_unstable();
     sigma_keys.dedup();
-    let goal_key = dep_key_under(goal, &perm);
+    let goal_key = scratch.dep_key(goal, &perm);
     let nrows = *goal_key.get(1)? as usize;
     let hyp = goal_key.get(2..2 + nrows.checked_mul(width)?)?.to_vec();
     Some(GroupQuery {
@@ -1361,6 +1424,95 @@ mod tests {
         }
         eprintln!("column relabelings: {splits} of 400 keys and {group_splits} Σ-groups split");
     }
+
+    /// Golden digest of every key this module computes over a seeded
+    /// corpus of 2,400 random queries, typed and untyped: widths 1–10
+    /// (past [`COL_CAP`]), one to ten hypothesis rows (past [`ROW_CAP`],
+    /// and symmetric enough to hit [`LEAF_CAP`]), and Σ of zero to four
+    /// members with repeats. The digest folds in the bytes of
+    /// [`QueryKey::encode_into`], the permutation, the per-dependency
+    /// encodings and the goal's, and the Σ-group key and goal. Keys are
+    /// persisted in answer logs, so the digest must never move: a change
+    /// here orphans every log written before it.
+    #[test]
+    fn keys_match_their_golden_digest() {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x676f_6c64);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |words: &mut dyn Iterator<Item = u32>| {
+            for w in words {
+                for b in w.to_le_bytes() {
+                    digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+            // A separator, so concatenations cannot alias.
+            digest = (digest ^ 0xff).wrapping_mul(0x0100_0000_01b3);
+        };
+        for case in 0..2_400 {
+            let width = rng.random_range(1..=10usize);
+            let names: Vec<String> = (0..width).map(|c| format!("A{c}")).collect();
+            let u = if case % 2 == 0 { Universe::typed(names) } else { Universe::untyped(names) };
+            let mut pool = ValuePool::new(u.clone());
+            // Few distinct values make repeats and ties; many make
+            // all-fresh rows, whose orders all tie.
+            let spread = [2u32, 3, 12][rng.random_range(0..3usize)];
+            let max_rows: usize = if case % 5 == 0 { 10 } else { 4 };
+            let mut dep = |rng: &mut rand::rngs::StdRng| {
+                let mut val =
+                    |c: usize, id: u32| pool.for_attr(AttrId(c as u16), &format!("v{id}"));
+                let rows: Vec<Tuple> = (0..rng.random_range(1..=max_rows))
+                    .map(|_| (0..width).map(|c| val(c, rng.random_range(0..spread))).collect())
+                    .map(Tuple::new)
+                    .collect();
+                let pick = |rng: &mut rand::rngs::StdRng, c: usize| {
+                    rows[rng.random_range(0..rows.len())].values()[c]
+                };
+                if rng.random_range(0..2u32) == 0 {
+                    let w = (0..width)
+                        .map(|c| match rng.random_range(0..3u32) {
+                            0 => val(c, spread + rng.random_range(0..2u32)),
+                            _ => pick(rng, c),
+                        })
+                        .collect();
+                    TdOrEgd::Td(Td::new(u.clone(), Tuple::new(w), rows))
+                } else {
+                    let c = rng.random_range(0..width);
+                    let (l, r) = (pick(rng, c), pick(rng, c));
+                    TdOrEgd::Egd(Egd::new(u.clone(), l, r, rows))
+                }
+            };
+            let mut sigma: Vec<TdOrEgd> =
+                (0..rng.random_range(0..=4usize)).map(|_| dep(&mut rng)).collect();
+            if !sigma.is_empty() && rng.random_range(0..4u32) == 0 {
+                let again = sigma[rng.random_range(0..sigma.len())].clone();
+                sigma.push(again);
+            }
+            let goal = if !sigma.is_empty() && rng.random_range(0..8u32) == 0 {
+                sigma[0].clone()
+            } else {
+                dep(&mut rng)
+            };
+            let parts = query_parts(&sigma, &goal);
+            let mut bytes = Vec::new();
+            parts.key.encode_into(&mut bytes);
+            fold(&mut bytes.iter().map(|&b| u32::from(b)));
+            fold(&mut parts.perm.iter().map(|&c| u32::from(c)));
+            for k in &parts.sigma_keys {
+                fold(&mut k.iter().copied());
+            }
+            fold(&mut parts.goal_key.iter().copied());
+            let group = group_query(&sigma, &goal).expect("nonzero width");
+            for k in &group.key.sigma {
+                fold(&mut k.iter().copied());
+            }
+            fold(&mut group.key.hyp.iter().copied());
+            fold(&mut group.goal.iter().copied());
+        }
+        assert_eq!(digest, GOLDEN_KEY_DIGEST, "canonical keys moved: {digest:#018x}");
+    }
+
+    /// [`keys_match_their_golden_digest`]'s digest.
+    const GOLDEN_KEY_DIGEST: u64 = 0x228b_123e_ddaa_3a87;
 
     /// The standard shared-Σ fixture: mvd + fd over untyped ABC, three
     /// member goals over one hypothesis tableau (a td and two egds).

@@ -99,6 +99,6 @@ pub use telemetry::{
     Telemetry, TelemetrySnapshot, HIST_BUCKETS,
 };
 pub use service::{
-    ImplicationClient, JobHandle, JobId, JobOutcome, JobStatus, QuerySpec, ServiceConfig,
-    ShardStep,
+    ImplicationClient, JobHandle, JobId, JobOutcome, JobStatus, JobSummary, QuerySpec,
+    ServiceConfig, ShardStep,
 };

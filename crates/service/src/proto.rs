@@ -71,7 +71,7 @@
 
 use crate::batch::{parse_query_line, parse_universe_spec};
 use crate::service::{
-    ImplicationClient, JobHandle, JobStatus, QuerySpec, ServiceConfig, ShardStep,
+    ImplicationClient, JobHandle, QuerySpec, ServiceConfig, ShardStep,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -1114,21 +1114,37 @@ fn prepare(core: &ServerCore, prep: Prep) {
             let _gate = core
                 .max_inflight
                 .map(|_| core.admission.lock().expect("admission lock"));
-            let jobs: Vec<JobHandle> = q
-                .goal_parts
+            let ParsedSubmit {
+                pool,
+                sigma,
+                goal_parts,
+                class,
+                fuel_cap,
+                progress,
+            } = q;
+            let last = goal_parts.len().saturating_sub(1);
+            let mut owned = Some((sigma, pool));
+            let jobs: Vec<JobHandle> = goal_parts
                 .into_iter()
-                .map(|part| {
-                    let mut spec = QuerySpec::new(q.sigma.clone(), part, q.pool.clone())
-                        .goal_class(q.class)
+                .enumerate()
+                .map(|(i, part)| {
+                    // The last part takes Σ and the pool; earlier parts
+                    // get copies.
+                    let (sigma, pool) = match &owned {
+                        Some((s, p)) if i < last => (s.clone(), p.clone()),
+                        _ => owned.take().expect("the last part takes the originals"),
+                    };
+                    let mut spec = QuerySpec::new(sigma, part, pool)
+                        .goal_class(class)
                         .waker(conn.thread.clone());
-                    if let Some(cap) = q.fuel_cap {
+                    if let Some(cap) = fuel_cap {
                         spec = spec.fuel_cap(cap);
                     }
                     core.client.submit(spec)
                 })
                 .collect();
             core.preparing.fetch_sub(1, Ordering::Relaxed);
-            Ok((jobs, q.progress))
+            Ok((jobs, progress))
         }
     };
     let mut shards: Vec<usize> = match &result {
@@ -1688,7 +1704,7 @@ fn pump_progress(pending: &mut HashMap<u64, PendingEntry>, out: &mut Vec<u8>) {
         };
         let mut phase = TaskPhase::Done;
         for job in &entry.jobs {
-            if matches!(job.poll(), JobStatus::Pending) {
+            if job.summary().is_none() {
                 up.pending += 1;
             }
             let Some(p) = job.progress() else { continue };
@@ -1768,22 +1784,17 @@ fn conjoin_entry(entry: &PendingEntry) -> Option<WireAnswer> {
         fuel_spent: 0,
     };
     for job in &entry.jobs {
-        match job.poll() {
-            JobStatus::Done(outcome) => {
-                answer.implication = answer.implication.and(outcome.implication);
-                answer.finite_implication =
-                    answer.finite_implication.and(outcome.finite_implication);
-                answer.from_cache &= outcome.from_cache;
-                answer.fuel_spent += outcome.fuel_spent;
-            }
-            JobStatus::Cancelled => {
-                answer.implication = Answer::Unknown;
-                answer.finite_implication = Answer::Unknown;
-                answer.from_cache = false;
-                answer.cancelled = true;
-            }
-            JobStatus::Pending => return None,
-            JobStatus::Retired => unreachable!("the connection owns its job handles"),
+        let done = job.summary()?;
+        if done.cancelled {
+            answer.implication = Answer::Unknown;
+            answer.finite_implication = Answer::Unknown;
+            answer.from_cache = false;
+            answer.cancelled = true;
+        } else {
+            answer.implication = answer.implication.and(done.implication);
+            answer.finite_implication = answer.finite_implication.and(done.finite_implication);
+            answer.from_cache &= done.from_cache;
+            answer.fuel_spent += done.fuel_spent;
         }
     }
     answer.expired = !answer.cancelled

@@ -238,6 +238,23 @@ pub struct JobOutcome {
     pub cancelled: bool,
 }
 
+/// A finished job's answers, fuel and flags: everything in its
+/// [`JobOutcome`] but the counterexample, which [`JobHandle::summary`]
+/// reads under the shard lock without cloning the outcome.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct JobSummary {
+    /// Answer for unrestricted implication `Σ ⊨ σ`.
+    pub implication: Answer,
+    /// Answer for finite implication `Σ ⊨_f σ`.
+    pub finite_implication: Answer,
+    /// As [`JobOutcome::from_cache`].
+    pub from_cache: bool,
+    /// Fuel this job consumed (0 for cache hits).
+    pub fuel_spent: u64,
+    /// As [`JobOutcome::cancelled`].
+    pub cancelled: bool,
+}
+
 /// Poll result for a job.
 #[derive(Clone, Debug)]
 pub enum JobStatus {
@@ -1150,10 +1167,10 @@ impl ImplicationClient {
         // dependencies are logically redundant (isomorphic constraints
         // are equivalent) but would inflate this job's per-round scan
         // relative to a dedup-submitted twin.
-        let mut seen_deps = FxHashSet::default();
+        let mut seen_deps: FxHashSet<&[u32]> = FxHashSet::default();
         let mut di = 0;
         sigma.retain(|_| {
-            let keep = seen_deps.insert(parts.sigma_keys[di].clone());
+            let keep = seen_deps.insert(&parts.sigma_keys[di]);
             di += 1;
             keep
         });
@@ -1390,6 +1407,27 @@ impl ImplicationClient {
             JobState::Finished(outcome) => JobStatus::Done(outcome.clone()),
             JobState::Vacant => JobStatus::Retired,
             _ => JobStatus::Pending,
+        }
+    }
+
+    /// A finished job's [`JobSummary`] (cancelled or not); `None` while
+    /// it runs, or for an id that is not live here.
+    fn summary(&self, id: JobId) -> Option<JobSummary> {
+        let cell = self.core.shards.get(id.shard as usize)?;
+        let shard = cell.shard.lock().expect("shard lock");
+        let slot = shard.slots.get(id.slot as usize)?;
+        if slot.generation != id.generation {
+            return None;
+        }
+        match &slot.state {
+            JobState::Finished(o) => Some(JobSummary {
+                implication: o.implication,
+                finite_implication: o.finite_implication,
+                from_cache: o.from_cache,
+                fuel_spent: o.fuel_spent,
+                cancelled: o.cancelled,
+            }),
+            _ => None,
         }
     }
 
@@ -2398,6 +2436,13 @@ impl JobHandle {
     /// The job's current status. Cheap; never advances work.
     pub fn poll(&self) -> JobStatus {
         self.client.status(self.id)
+    }
+
+    /// The finished job's answers, fuel and flags, or `None` while it
+    /// runs. Cheaper than [`JobHandle::poll`] for a caller that only
+    /// reports the answer: nothing is cloned, the counterexample included.
+    pub fn summary(&self) -> Option<JobSummary> {
+        self.client.summary(self.id)
     }
 
     /// The job's current [`ProgressSnapshot`] (see

@@ -52,11 +52,49 @@ fn corpus() -> Vec<(String, String)> {
     .collect()
 }
 
-/// A divergent submission (successor td, never-derivable egd goal): the
-/// chase grows forever within the default budgets' horizon.
-const DIVERGENT_UNIVERSE: &str = "untyped A' B' C'";
-const DIVERGENT_QUERY: &str =
-    "td [x y z] => y q1 q2 |= egd [x y1 z1 ; x y2 z2] => y1 = y2";
+/// Ballast no procedure ever answers: Casanova–Fagin–Papadimitriou's
+/// `A -> B & [A] <= [B] |= [B] <= [A]`, finitely implied but not implied,
+/// so no search can refute it and no chase can prove it. The 64
+/// unmentioned columns make each fuel unit dearer; it ends only when
+/// cancelled or `Unknown` once both budgets are spent
+/// ([`ballast_is_never_answered`]).
+fn ballast() -> (String, &'static str) {
+    let extra: Vec<String> = (0..64).map(|i| format!("C{i}")).collect();
+    (
+        format!("untyped A B {}", extra.join(" ")),
+        "A -> B & [A] <= [B] |= [B] <= [A]",
+    )
+}
+
+/// The ballast stays unanswered long enough to cancel or drain: in
+/// process, under the server's decide budgets, it is still pending after
+/// 258 fuel units (by which the search refutes a successor-td ballast) and
+/// ends `Unknown`, never definite.
+#[test]
+fn ballast_is_never_answered() {
+    use typedtd_chase::{DecideStatus, DecideTask};
+    let (uspec, text) = ballast();
+    let universe = parse_universe_spec(&uspec).expect("universe parses");
+    let mut pool = ValuePool::new(universe.clone());
+    let (sigma, goal) = parse_query_line(&universe, &mut pool, text).expect("query parses");
+    let sigma: Vec<_> = sigma
+        .iter()
+        .flat_map(|d| d.normalize(&universe, &mut pool))
+        .collect();
+    for part in goal.normalize(&universe, &mut pool) {
+        let cfg = ServiceConfig::default().decide;
+        let mut task = DecideTask::new(sigma.clone(), part, pool.clone(), cfg);
+        assert_eq!(task.step(258), DecideStatus::Pending, "answered by 258 fuel");
+        task.run_to_completion();
+        let fuel = task.fuel_spent();
+        let (d, _) = task.finish();
+        assert_eq!(
+            (d.implication, d.finite_implication),
+            (Answer::Unknown, Answer::Unknown),
+            "the ballast got a definite answer after {fuel} fuel"
+        );
+    }
+}
 
 /// Sequential in-process reference: parse exactly like the server,
 /// decide each normalized goal part, conjoin.
@@ -290,9 +328,8 @@ fn shutdown_drains_detached_jobs_and_prints_ledger() {
     let decidable = client
         .submit("A B C", "A -> B & B -> C |= A -> C", None)
         .expect("submit decidable");
-    let divergent = client
-        .submit(DIVERGENT_UNIVERSE, DIVERGENT_QUERY, None)
-        .expect("submit divergent");
+    let (du, dq) = ballast();
+    let divergent = client.submit(&du, dq, None).expect("submit divergent");
     client.detach(decidable).expect("detach decidable");
     client.detach(divergent).expect("detach divergent");
     client.shutdown_server().expect("send SHUTDOWN");
@@ -342,15 +379,10 @@ fn max_inflight_sheds_with_err_busy() {
     // Three copies of the same divergent query: the first leads, the
     // second coalesces (both count as pending jobs), the third must
     // bounce off the bound.
-    let c1 = client
-        .submit(DIVERGENT_UNIVERSE, DIVERGENT_QUERY, None)
-        .expect("submit 1");
-    let c2 = client
-        .submit(DIVERGENT_UNIVERSE, DIVERGENT_QUERY, None)
-        .expect("submit 2");
-    let c3 = client
-        .submit(DIVERGENT_UNIVERSE, DIVERGENT_QUERY, None)
-        .expect("submit 3");
+    let (du, dq) = ballast();
+    let c1 = client.submit(&du, dq, None).expect("submit 1");
+    let c2 = client.submit(&du, dq, None).expect("submit 2");
+    let c3 = client.submit(&du, dq, None).expect("submit 3");
     let err = client
         .wait_answer(c3)
         .expect_err("third submission must be shed");

@@ -131,26 +131,50 @@ fn reference_answers(corpus: &[(String, String)]) -> Vec<(Answer, Answer)> {
         .collect()
 }
 
-/// A divergent query text whose canonical key is unique per `salt`
-/// (distinct universe width), so concurrent connections never coalesce
-/// their ballast — cancellations stay connection-local.
+/// Ballast no procedure ever answers: [`cfp_text`]'s query, widened by
+/// `64 + salt` columns, so each salt has its own canonical key (concurrent
+/// connections never coalesce their ballast, and cancellations stay
+/// connection-local) and none collides with `cfp_text`'s own. Finitely
+/// implied but not implied, so no search can refute it and no chase can
+/// prove it: it ends only when cancelled, expired by its fuel cap, or
+/// `Unknown` once both budgets are spent ([`ballast_is_never_answered`]).
 fn divergent_text(salt: usize) -> (String, String) {
-    let width = 3 + salt;
-    let unames: Vec<String> = (0..width).map(|i| format!("U{i}'")).collect();
-    let uspec = format!("untyped {}", unames.join(" "));
-    let pad = |prefix: &str, base: [&str; 3]| -> String {
-        let mut row: Vec<String> = base.iter().map(|s| s.to_string()).collect();
-        row.extend((3..width).map(|i| format!("{prefix}{i}")));
-        row.join(" ")
-    };
-    let query = format!(
-        "td [{}] => {} |= egd [{} ; {}] => y1 = y2",
-        pad("p", ["x", "y", "z"]),
-        pad("q", ["y", "q1", "q2"]),
-        pad("v", ["x", "y1", "z1"]),
-        pad("w", ["x", "y2", "z2"]),
-    );
-    (uspec, query)
+    cfp_text(32 + salt)
+}
+
+/// The socket tests' ballast stays unanswered long enough to cancel: in
+/// process, under the server's decide budgets in both modes, it is still
+/// pending after 258 fuel units (by which the search refutes a successor-td
+/// ballast) and ends `Unknown`, never definite.
+#[test]
+fn ballast_is_never_answered() {
+    use typedtd::chase::{DecideMode, DecideStatus, DecideTask};
+    let (uspec, text) = divergent_text(0);
+    let universe = parse_universe_spec(&uspec).expect("universe parses");
+    let mut pool = ValuePool::new(universe.clone());
+    let (sigma, goal) = parse_query_line(&universe, &mut pool, &text).expect("query parses");
+    let sigma: Vec<_> = sigma
+        .iter()
+        .flat_map(|d| d.normalize(&universe, &mut pool))
+        .collect();
+    for mode in [DecideMode::Sequential, DecideMode::adaptive_dovetail(1)] {
+        for part in goal.normalize(&universe, &mut pool) {
+            let cfg = DecideConfig {
+                mode,
+                ..ServiceConfig::default().decide
+            };
+            let mut task = DecideTask::new(sigma.clone(), part, pool.clone(), cfg);
+            assert_eq!(task.step(258), DecideStatus::Pending, "{mode:?}: answered by 258 fuel");
+            task.run_to_completion();
+            let fuel = task.fuel_spent();
+            let (d, _) = task.finish();
+            assert_eq!(
+                (d.implication, d.finite_implication),
+                (Answer::Unknown, Answer::Unknown),
+                "{mode:?}: the ballast got a definite answer after {fuel} fuel"
+            );
+        }
+    }
 }
 
 /// Casanova–Fagin–Papadimitriou's `A -> B & [A] <= [B] |= [B] <= [A]`
@@ -742,9 +766,15 @@ fn hangup_with_queued_submits_leaves_no_live_job() {
         }
         raw.write_all(&wire).expect("write the SUBMITs");
     }
+    // `submitted` counts a SUBMIT as `submit` begins, before its job is
+    // pending or live, so settled also means every job completed.
     wait_until("every queued SUBMIT is submitted and settled", || {
         let c = server.client();
-        c.stats().submitted == queued && c.pending_jobs() == 0 && c.live_jobs() == 0
+        let stats = c.stats();
+        stats.submitted == queued
+            && stats.completed == queued
+            && c.pending_jobs() == 0
+            && c.live_jobs() == 0
     });
     let stats = server.client().stats();
     assert_eq!(
