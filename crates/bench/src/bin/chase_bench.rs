@@ -72,8 +72,8 @@ use typedtd_chase::{
 use typedtd_dependencies::{DependencyClass, Mvd, TdOrEgd};
 use typedtd_relational::{AttrId, AttrSet, Relation, Universe, ValuePool};
 use typedtd_service::{
-    parse_query_line, parse_universe_spec, query_parts, ImplicationClient, JobHandle, JobStatus,
-    PersistConfig, QuerySpec, ServiceConfig,
+    parse_query_line, parse_universe_spec, query_parts, replay_log, ImplicationClient, JobHandle,
+    JobStatus, PersistConfig, QuerySpec, ServiceConfig,
 };
 
 /// Counts each thread's allocations for the `prepare_path` row.
@@ -1413,8 +1413,18 @@ fn measure_service_shared_sigma(
 /// that log, which must serve the whole corpus from warm cache entries
 /// with ZERO fresh fuel — asserted, so the JSON numbers can be trusted
 /// to measure replay, not recomputation. The third column repeats the
-/// warm pass with witness verification on every hit.
-fn measure_service_warm_restart(distinct: usize, repeats: usize, samples: usize) -> Record {
+/// warm pass with witness verification on every hit. The cold and warm
+/// clocks start after the client is built; the `replay` and
+/// `replay_verified` columns time the build itself, over a log of
+/// cold-shaped answers five times `replay_capacity`, so replay decodes
+/// every record and evicts the way a long-lived daemon's restart does
+/// (with verification it also rebuilds each record's witness).
+fn measure_service_warm_restart(
+    distinct: usize,
+    repeats: usize,
+    replay_capacity: usize,
+    samples: usize,
+) -> Record {
     let corpus = socket_corpus(distinct, repeats);
     let mut text = String::from("@universe A B C D\n");
     for (_, query) in &corpus {
@@ -1474,14 +1484,59 @@ fn measure_service_warm_restart(distinct: usize, repeats: usize, samples: usize)
         assert_eq!(verify_stats.verify_rejects, 0, "replayed witnesses must verify");
         let _ = std::fs::remove_file(&path);
     }
+    let path =
+        std::env::temp_dir().join(format!("typedtd-bench-replay-{}.log", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let logged = ServiceConfig {
+        persist: Some(PersistConfig::at(&path)),
+        cache_capacity: replay_capacity,
+        ..ServiceConfig::default()
+    };
+    {
+        let client = ImplicationClient::new(ServiceConfig {
+            shards: 1,
+            ..logged.clone()
+        });
+        for (uspec, text) in cold_shape_queries(5 * replay_capacity, 0x7265_706c) {
+            answer_on_this_thread(&client, &uspec, &text, None);
+        }
+    }
+    let records = replay_log(&path).expect("replay log readable").records.len();
+    assert!(
+        records >= 4 * replay_capacity,
+        "the replay log must hold at least 4x the cache's capacity, got {records}"
+    );
+    let replay = |verify: bool| {
+        (0..samples)
+            .map(|_| {
+                let t0 = Instant::now();
+                let client = ImplicationClient::new(ServiceConfig {
+                    verify_cache_hits: verify,
+                    ..logged.clone()
+                });
+                let t = t0.elapsed();
+                assert_eq!(client.cache_len(), replay_capacity, "replay fills the cache");
+                t
+            })
+            .collect::<Vec<_>>()
+    };
+    let (replay_times, replay_verified_times) = (replay(false), replay(true));
+    let _ = std::fs::remove_file(&path);
     Record {
         workload: format!("service_warm_restart/d{distinct}xr{repeats}"),
         variants: vec![
             Variant::new("cold", cold_times),
             Variant::new("warm", warm_times),
             Variant::new("warm_verified", verify_times),
+            Variant::new("replay", replay_times),
+            Variant::new("replay_verified", replay_verified_times),
         ],
-        counters: vec![("queries", corpus.len()), ("warm_hits", warm_hits as usize)],
+        counters: vec![
+            ("queries", corpus.len()),
+            ("warm_hits", warm_hits as usize),
+            ("replay_records", records),
+            ("replay_capacity", replay_capacity),
+        ],
     }
 }
 
@@ -1525,7 +1580,7 @@ fn main() {
             measure_telemetry_overhead(2, 2, 3, 1, false),
             measure_skewed_steal(6, 2, 1, false),
             measure_socket_stream(3, 4, 2, 1, false),
-            measure_service_warm_restart(3, 2, 1),
+            measure_service_warm_restart(3, 2, 8, 1),
             measure_prepare_path(12, 1),
         ]
     } else {
@@ -1572,7 +1627,7 @@ fn main() {
             measure_telemetry_overhead(3, 4, 6, 31, true),
             measure_skewed_steal(24, 4, 3, true),
             measure_socket_stream(5, 10, 4, 15, true),
-            measure_service_warm_restart(6, 4, 3),
+            measure_service_warm_restart(6, 4, 1024, 9),
             measure_prepare_path(400, 9),
         ]
     };

@@ -37,7 +37,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
 use typedtd_dependencies::TdOrEgd;
-use typedtd_relational::{FxHashMap, Relation, Tuple, Universe, Valuation, Value, ValuePool};
+use typedtd_relational::{Relation, Tuple, Universe, Valuation, Value, ValuePool};
 
 /// Budget for counterexample search.
 #[derive(Clone, Debug)]
@@ -366,12 +366,8 @@ fn repair(
                     if let Some(alpha) = e.violation(&rel) {
                         let a = alpha.get(e.left()).expect("bound");
                         let b = alpha.get(e.right()).expect("bound");
-                        // Collapse b into a everywhere.
-                        let map: FxHashMap<Value, Value> = rel
-                            .val()
-                            .map(|v| (v, if v == b { a } else { v }))
-                            .collect();
-                        rel = rel.map(&map);
+                        // Collapse b into a everywhere, in place.
+                        rel.rewrite_value(b, a);
                         repaired = true;
                         break;
                     }

@@ -60,8 +60,10 @@ pub struct ValuePool {
     universe: Arc<Universe>,
     names: Vec<Name>,
     sorts: Vec<Option<AttrId>>,
-    /// Interned values by sort and name; fresh values are never entered.
-    by_key: FxHashMap<(Option<AttrId>, Arc<str>), Value>,
+    /// Interned values by name, one map per sort (see [`sort_slot`]), so
+    /// a lookup borrows the name instead of building a key; fresh values
+    /// are never entered.
+    by_name: Vec<FxHashMap<Arc<str>, Value>>,
     /// Every prefix fresh values were minted with, once each.
     prefixes: Vec<Arc<str>>,
     /// Fresh values in minting order, which is ascending counter order.
@@ -71,6 +73,12 @@ pub struct ValuePool {
     /// Only these counters need a clash check when minted.
     reserved: FxHashSet<u32>,
     fresh: u32,
+}
+
+/// The index of `sort`'s name map in [`ValuePool`]: 0 for the untyped
+/// domain, `1 + attr` for a typed sort.
+fn sort_slot(sort: Option<AttrId>) -> usize {
+    sort.map_or(0, |a| 1 + a.index())
 }
 
 /// The ways to read `name` as `"{prefix}{counter}"`: every split inside its
@@ -94,7 +102,7 @@ impl ValuePool {
             universe,
             names: Vec::new(),
             sorts: Vec::new(),
-            by_key: FxHashMap::default(),
+            by_name: Vec::new(),
             prefixes: Vec::new(),
             fresh_values: Vec::new(),
             reserved: FxHashSet::default(),
@@ -127,7 +135,11 @@ impl ValuePool {
         for (_, n) in counter_splits(&name) {
             self.reserved.insert(n);
         }
-        self.by_key.insert((sort, name.clone()), v);
+        let slot = sort_slot(sort);
+        if self.by_name.len() <= slot {
+            self.by_name.resize_with(slot + 1, FxHashMap::default);
+        }
+        self.by_name[slot].insert(name.clone(), v);
         self.names.push(Name::Interned(name));
         self.sorts.push(sort);
         v
@@ -215,7 +227,7 @@ impl ValuePool {
     /// Looks a value up by sort and name without interning it. Finds fresh
     /// values by their rendered names too.
     pub fn get(&self, sort: Option<AttrId>, name: &str) -> Option<Value> {
-        if let Some(&v) = self.by_key.get(&(sort, Arc::from(name))) {
+        if let Some(&v) = self.by_name.get(sort_slot(sort)).and_then(|m| m.get(name)) {
             return Some(v);
         }
         counter_splits(name).find_map(|(prefix, n)| {

@@ -42,6 +42,16 @@
 //! sides of the check are the *permuted* hypotheses — each side normalized
 //! by its own canonical permutation, which is exactly the equivalence an
 //! equal key certifies.
+//!
+//! An entry keeps its witness only when verification is on: nothing else
+//! reads it, and building one costs a relation per keyed miss and per
+//! replayed log record. A live entry keeps the inserted query's *own*
+//! permuted hypothesis rather than one rebuilt from its key: a key whose
+//! goal encoding does not match the query it was computed for then fails
+//! verification against that query's twins instead of vouching for
+//! itself. Only entries replayed from the log, which have nothing but the
+//! key, rebuild it from the encoding ([`QueryKey::witness_relation`]). A
+//! verified probe never hits an entry without a witness.
 
 use crate::canon::QueryKey;
 use std::collections::VecDeque;
@@ -77,8 +87,9 @@ enum Entry {
         answer: CachedAnswer,
         /// The goal's hypothesis tableau at insert time (columns already
         /// in the inserting query's canonical order), kept for hit
-        /// verification via `isomorphic`.
-        goal_hypothesis: Relation,
+        /// verification via `isomorphic`; `None` when inserted with
+        /// verification off.
+        goal_hypothesis: Option<Relation>,
         /// Stamp of the latest touch; older stamps in the LRU queue for
         /// this key are stale and skipped.
         last_tick: u64,
@@ -138,9 +149,9 @@ pub enum Probe {
     },
     /// The key's query is in flight; coalesce onto the leader slot.
     InFlight(u32),
-    /// An entry was found but failed isomorphism verification; served as a
-    /// miss and counted separately — a hit here would be a canonicalization
-    /// bug.
+    /// An entry was found but failed isomorphism verification, or holds
+    /// no witness to verify against; served as a miss and counted
+    /// separately — a hit here would be a canonicalization bug.
     Rejected,
 }
 
@@ -196,7 +207,8 @@ impl ShardCache {
     /// isomorphism cross-check against `goal_hyp` — the probing query's
     /// hypothesis with columns already in *its* canonical order. `None`
     /// skips verification (and lets callers skip *building* the witness
-    /// on the hit path).
+    /// on the hit path). A verified probe of an entry inserted without a
+    /// witness is [`Probe::Rejected`].
     pub fn probe(&mut self, key: &QueryKey, verify: Option<&Relation>) -> Probe {
         match self.map.get_key_value(key) {
             None => Probe::Miss,
@@ -211,7 +223,7 @@ impl ShardCache {
                 },
             )) => {
                 if let Some(goal_hyp) = verify {
-                    if !witness_match(hyp, goal_hyp) {
+                    if !hyp.as_ref().is_some_and(|hyp| witness_match(hyp, goal_hyp)) {
                         return Probe::Rejected;
                     }
                 }
@@ -252,19 +264,19 @@ impl ShardCache {
     /// one in-flight leader per key, so a conflicting overwrite is
     /// impossible. `goal_hyp` is the goal's hypothesis tableau with
     /// columns already in the inserting query's canonical order (the
-    /// verification witness); `cost` is the fuel the answer took (drives
-    /// the eviction reprieve). Returns the interned key when a fresh entry
-    /// was added (callers pass it back as the eviction-protect handle
-    /// without re-cloning the encoding), `None` when the key was already
-    /// answered.
+    /// verification witness; pass `None` when hits are not verified);
+    /// `cost` is the fuel the answer took (drives the eviction reprieve).
+    /// Returns the interned key when a fresh entry was added (callers pass
+    /// it back as the eviction-protect handle without re-cloning the
+    /// encoding), `None` when the key was already answered.
     pub fn insert(
         &mut self,
         key: QueryKey,
         answer: CachedAnswer,
-        goal_hyp: Relation,
+        goal_hyp: impl Into<Option<Relation>>,
         cost: u64,
     ) -> Option<Arc<QueryKey>> {
-        self.insert_entry(key, answer, goal_hyp, cost, false)
+        self.insert_entry(key, answer, goal_hyp.into(), cost, false)
     }
 
     /// As [`ShardCache::insert`], but marks the entry *warm* — replayed
@@ -276,17 +288,17 @@ impl ShardCache {
         &mut self,
         key: QueryKey,
         answer: CachedAnswer,
-        goal_hyp: Relation,
+        goal_hyp: impl Into<Option<Relation>>,
         cost: u64,
     ) -> Option<Arc<QueryKey>> {
-        self.insert_entry(key, answer, goal_hyp, cost, true)
+        self.insert_entry(key, answer, goal_hyp.into(), cost, true)
     }
 
     fn insert_entry(
         &mut self,
         key: QueryKey,
         answer: CachedAnswer,
-        goal_hyp: Relation,
+        goal_hyp: Option<Relation>,
         cost: u64,
         warm: bool,
     ) -> Option<Arc<QueryKey>> {
@@ -484,6 +496,16 @@ mod tests {
         assert!(cache.evict_one(), "the hot entry is evictable too");
         assert!(!cache.evict_one());
         assert_eq!(cache.len(), 0);
+    }
+
+    #[test]
+    fn verified_probes_reject_entries_without_a_witness() {
+        let mut cache = ShardCache::default();
+        let (k, g) = keyed_td("x");
+        cache.insert(k.clone(), YES, None::<Relation>, 0);
+        let witness = goal_hypothesis(&g);
+        assert!(matches!(cache.probe(&k, Some(&witness)), Probe::Rejected));
+        assert!(matches!(cache.probe(&k, None), Probe::Hit { .. }));
     }
 
     #[test]

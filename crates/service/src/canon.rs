@@ -74,35 +74,80 @@ pub const COL_CAP: usize = 8;
 const TAG_TD: u32 = u32::MAX;
 const TAG_EGD: u32 = u32::MAX - 1;
 
-/// The canonical key of one query `(Σ, σ)`.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+/// The canonical key of one query `(Σ, σ)`: the universe's width and
+/// typedness, plus one flat word stream holding exactly the words
+/// [`QueryKey::encode_into`] writes after them — Σ's member count, each
+/// member's length and canonical encoding (sorted, deduplicated), then the
+/// goal's length and encoding. Building, cloning, decoding and dropping a
+/// key each cost one allocation.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct QueryKey {
     /// Universe width (attribute names are irrelevant to the answer).
     width: u16,
     /// Domain discipline (typedness changes which embeddings exist).
     typed: bool,
-    /// Sorted, deduplicated canonical encodings of Σ.
-    sigma: Vec<Vec<u32>>,
-    /// Canonical encoding of the goal.
-    goal: Vec<u32>,
+    /// `[|Σ|, len, Σ₀…, len, Σ₁…, …, len, goal…]`.
+    words: Box<[u32]>,
+}
+
+impl std::hash::Hash for QueryKey {
+    /// Writes the stream `#[derive(Hash)]` wrote for the nested layout
+    /// this key replaced (width, typedness, Σ as a `Vec<Vec<u32>>`, the
+    /// goal as a `Vec<u32>`), so shard routing and the cache's buckets
+    /// place every key where they always have.
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.width.hash(state);
+        self.typed.hash(state);
+        state.write_usize(self.words[0] as usize);
+        for dep in self.sigma() {
+            dep.hash(state);
+        }
+        self.goal().hash(state);
+    }
 }
 
 impl QueryKey {
+    /// Lays out the key of `sigma` (sorted and deduplicated by the caller)
+    /// and `goal` in one exactly sized buffer.
+    fn new(width: u16, typed: bool, sigma: &[&[u32]], goal: &[u32]) -> Self {
+        let len = 2 + sigma.iter().map(|d| 1 + d.len()).sum::<usize>() + goal.len();
+        let mut words = Vec::with_capacity(len);
+        words.push(sigma.len() as u32);
+        for part in sigma.iter().chain([&goal]) {
+            words.push(part.len() as u32);
+            words.extend_from_slice(part);
+        }
+        Self {
+            width,
+            typed,
+            words: words.into_boxed_slice(),
+        }
+    }
+
+    /// Σ's canonical member encodings, in key order.
+    fn sigma(&self) -> impl Iterator<Item = &[u32]> {
+        let mut at = 1;
+        (0..self.words[0]).map(move |_| {
+            let len = self.words[at] as usize;
+            at += 1 + len;
+            &self.words[at - len..at]
+        })
+    }
+
+    /// The goal's canonical encoding (the stream's last part).
+    fn goal(&self) -> &[u32] {
+        let at = 1 + self.sigma().map(|d| 1 + d.len()).sum::<usize>();
+        &self.words[at + 1..]
+    }
+
     /// Appends a stable, self-delimiting byte encoding of this key to
-    /// `out` (little-endian lengths and words) — the persistence log's
-    /// record body format. [`QueryKey::decode`] round-trips it exactly.
+    /// `out` (little-endian width, a typedness byte, then the word
+    /// stream) — the persistence log's record body format.
+    /// [`QueryKey::decode`] round-trips it exactly.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.width.to_le_bytes());
         out.push(u8::from(self.typed));
-        out.extend_from_slice(&(self.sigma.len() as u32).to_le_bytes());
-        for dep in &self.sigma {
-            out.extend_from_slice(&(dep.len() as u32).to_le_bytes());
-            for w in dep {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-        }
-        out.extend_from_slice(&(self.goal.len() as u32).to_le_bytes());
-        for w in &self.goal {
+        for w in &self.words {
             out.extend_from_slice(&w.to_le_bytes());
         }
     }
@@ -111,51 +156,53 @@ impl QueryKey {
     /// [`QueryKey::encode_into`]), returning it with the number of bytes
     /// consumed. `None` on any malformed input — truncated buffers and
     /// absurd lengths are rejected, never panicked on, so a corrupted log
-    /// record degrades to a dropped record.
+    /// record degrades to a dropped record. The stream's structure is
+    /// checked before anything is allocated.
     pub fn decode(bytes: &[u8]) -> Option<(Self, usize)> {
-        let mut at = 0usize;
-        let take = |at: &mut usize, n: usize| -> Option<&[u8]> {
-            let s = bytes.get(*at..*at + n)?;
-            *at += n;
-            Some(s)
-        };
-        let width = u16::from_le_bytes(take(&mut at, 2)?.try_into().ok()?);
+        let width = u16::from_le_bytes(bytes.get(..2)?.try_into().ok()?);
         if width == 0 {
             return None;
         }
-        let typed = match take(&mut at, 1)?[0] {
+        let typed = match *bytes.get(2)? {
             0 => false,
             1 => true,
             _ => return None,
         };
-        let read_words = |at: &mut usize| -> Option<Vec<u32>> {
-            let len = u32::from_le_bytes(take(at, 4)?.try_into().ok()?) as usize;
-            // A length can't exceed the words the buffer could still hold.
-            if len > bytes.len().saturating_sub(*at) / 4 {
-                return None;
-            }
-            (0..len)
-                .map(|_| Some(u32::from_le_bytes(take(at, 4)?.try_into().ok()?)))
-                .collect()
+        let mut at = 3usize;
+        // A count or length can't exceed the words the buffer could still
+        // hold.
+        let count = |at: &mut usize| -> Option<usize> {
+            let n = u32::from_le_bytes(bytes.get(*at..*at + 4)?.try_into().ok()?) as usize;
+            *at += 4;
+            (n <= (bytes.len() - *at) / 4).then_some(n)
         };
-        let ndeps = u32::from_le_bytes(take(&mut at, 4)?.try_into().ok()?) as usize;
-        if ndeps > bytes.len().saturating_sub(at) / 4 {
+        let ndeps = count(&mut at)?;
+        // Σ's members, then the goal.
+        for _ in 0..=ndeps {
+            at += 4 * count(&mut at)?;
+        }
+        let words = bytes[3..at]
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")))
+            .collect();
+        Some((Self { width, typed, words }, at))
+    }
+
+    /// The goal's hypothesis rows as canonical ids (`rows × width` words),
+    /// or `None` when the goal encoding is malformed (a decoded-from-disk
+    /// key whose checksum lied). Replay keeps exactly the records for
+    /// which this is `Some`, whether or not it builds their witnesses.
+    pub fn witness_ids(&self) -> Option<&[u32]> {
+        let width = self.width as usize;
+        let goal = self.goal();
+        if width == 0 || goal.len() < 2 {
             return None;
         }
-        let mut sigma = Vec::with_capacity(ndeps);
-        for _ in 0..ndeps {
-            sigma.push(read_words(&mut at)?);
+        if goal[0] != TAG_TD && goal[0] != TAG_EGD {
+            return None;
         }
-        let goal = read_words(&mut at)?;
-        Some((
-            Self {
-                width,
-                typed,
-                sigma,
-                goal,
-            },
-            at,
-        ))
+        let nrows = goal[1] as usize;
+        goal[2..].get(..nrows.checked_mul(width)?)
     }
 
     /// Rebuilds the goal's hypothesis tableau from the canonical encoding,
@@ -164,22 +211,11 @@ impl QueryKey {
     /// `[tag, hyp_len, hyp_len × width canonical ids, …]`, so each id maps
     /// to one fresh value; the result is isomorphic (value bijection) to
     /// `permute_relation(goal_hypothesis(goal), perm)` of any query that
-    /// keys here, which is exactly what verified hits compare. `None` when
-    /// the encoding is malformed (a decoded-from-disk key whose checksum
-    /// lied).
+    /// keys here, which is exactly what verified hits compare. `None`
+    /// exactly when [`QueryKey::witness_ids`] is.
     pub fn witness_relation(&self) -> Option<Relation> {
+        let ids = self.witness_ids()?;
         let width = self.width as usize;
-        if width == 0 || self.goal.len() < 2 {
-            return None;
-        }
-        if self.goal[0] != TAG_TD && self.goal[0] != TAG_EGD {
-            return None;
-        }
-        let nrows = self.goal[1] as usize;
-        let body = self.goal.get(2..)?;
-        if nrows.checked_mul(width)? > body.len() {
-            return None;
-        }
         // The witness only feeds value-bijection isomorphism checks, so an
         // untyped universe works for typed queries too (typedness lives in
         // the key itself, not the witness).
@@ -187,7 +223,7 @@ impl QueryKey {
         let mut pool = ValuePool::new(universe.clone());
         let mut values: FxHashMap<u32, Value> = FxHashMap::default();
         let mut rel = Relation::new(universe);
-        for row in body[..nrows * width].chunks_exact(width) {
+        for row in ids.chunks_exact(width) {
             rel.insert(Tuple::new(
                 row.iter()
                     .map(|id| {
@@ -241,15 +277,10 @@ pub fn query_parts(sigma: &[TdOrEgd], goal: &TdOrEgd) -> QueryParts {
     let perm = scratch.column_order(sigma, Some(goal), width);
     let dep_keys: Vec<Vec<u32>> = sigma.iter().map(|d| scratch.dep_key(d, &perm)).collect();
     let goal_key = scratch.dep_key(goal, &perm);
-    let mut sigma_keys = dep_keys.clone();
-    sigma_keys.sort_unstable();
-    sigma_keys.dedup();
-    let key = QueryKey {
-        width: width as u16,
-        typed: universe.is_typed(),
-        sigma: sigma_keys,
-        goal: goal_key.clone(),
-    };
+    let mut members: Vec<&[u32]> = dep_keys.iter().map(Vec::as_slice).collect();
+    members.sort_unstable();
+    members.dedup();
+    let key = QueryKey::new(width as u16, universe.is_typed(), &members, &goal_key);
     QueryParts {
         key,
         sigma_keys: dep_keys,
@@ -1425,29 +1456,13 @@ mod tests {
         eprintln!("column relabelings: {splits} of 400 keys and {group_splits} Σ-groups split");
     }
 
-    /// Golden digest of every key this module computes over a seeded
-    /// corpus of 2,400 random queries, typed and untyped: widths 1–10
-    /// (past [`COL_CAP`]), one to ten hypothesis rows (past [`ROW_CAP`],
-    /// and symmetric enough to hit [`LEAF_CAP`]), and Σ of zero to four
-    /// members with repeats. The digest folds in the bytes of
-    /// [`QueryKey::encode_into`], the permutation, the per-dependency
-    /// encodings and the goal's, and the Σ-group key and goal. Keys are
-    /// persisted in answer logs, so the digest must never move: a change
-    /// here orphans every log written before it.
-    #[test]
-    fn keys_match_their_golden_digest() {
+    /// Calls `visit` on each query of a seeded corpus of 2,400 random
+    /// queries, typed and untyped: widths 1–10 (past [`COL_CAP`]), one to
+    /// ten hypothesis rows (past [`ROW_CAP`], and symmetric enough to hit
+    /// [`LEAF_CAP`]), and Σ of zero to four members with repeats.
+    fn golden_corpus(mut visit: impl FnMut(&[TdOrEgd], &TdOrEgd)) {
         use rand::{RngExt, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x676f_6c64);
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |words: &mut dyn Iterator<Item = u32>| {
-            for w in words {
-                for b in w.to_le_bytes() {
-                    digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-                }
-            }
-            // A separator, so concatenations cannot alias.
-            digest = (digest ^ 0xff).wrapping_mul(0x0100_0000_01b3);
-        };
         for case in 0..2_400 {
             let width = rng.random_range(1..=10usize);
             let names: Vec<String> = (0..width).map(|c| format!("A{c}")).collect();
@@ -1492,27 +1507,74 @@ mod tests {
             } else {
                 dep(&mut rng)
             };
-            let parts = query_parts(&sigma, &goal);
+            visit(&sigma, &goal);
+        }
+    }
+
+    /// 64-bit FNV-1a over the little-endian bytes of `words`, then a
+    /// separator byte, so concatenations cannot alias.
+    fn fnv_fold(digest: &mut u64, words: impl Iterator<Item = u32>) {
+        for w in words {
+            for b in w.to_le_bytes() {
+                *digest = (*digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        *digest = (*digest ^ 0xff).wrapping_mul(0x0100_0000_01b3);
+    }
+
+    /// Golden digest of every key this module computes over
+    /// [`golden_corpus`]. The digest folds in the bytes of
+    /// [`QueryKey::encode_into`], the permutation, the per-dependency
+    /// encodings and the goal's, and the Σ-group key and goal. Keys are
+    /// persisted in answer logs, so the digest must never move: a change
+    /// here orphans every log written before it.
+    #[test]
+    fn keys_match_their_golden_digest() {
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        golden_corpus(|sigma, goal| {
+            let parts = query_parts(sigma, goal);
             let mut bytes = Vec::new();
             parts.key.encode_into(&mut bytes);
-            fold(&mut bytes.iter().map(|&b| u32::from(b)));
-            fold(&mut parts.perm.iter().map(|&c| u32::from(c)));
+            fnv_fold(&mut digest, bytes.iter().map(|&b| u32::from(b)));
+            fnv_fold(&mut digest, parts.perm.iter().map(|&c| u32::from(c)));
             for k in &parts.sigma_keys {
-                fold(&mut k.iter().copied());
+                fnv_fold(&mut digest, k.iter().copied());
             }
-            fold(&mut parts.goal_key.iter().copied());
-            let group = group_query(&sigma, &goal).expect("nonzero width");
+            fnv_fold(&mut digest, parts.goal_key.iter().copied());
+            let group = group_query(sigma, goal).expect("nonzero width");
             for k in &group.key.sigma {
-                fold(&mut k.iter().copied());
+                fnv_fold(&mut digest, k.iter().copied());
             }
-            fold(&mut group.key.hyp.iter().copied());
-            fold(&mut group.goal.iter().copied());
-        }
+            fnv_fold(&mut digest, group.key.hyp.iter().copied());
+            fnv_fold(&mut digest, group.goal.iter().copied());
+        });
         assert_eq!(digest, GOLDEN_KEY_DIGEST, "canonical keys moved: {digest:#018x}");
     }
 
     /// [`keys_match_their_golden_digest`]'s digest.
     const GOLDEN_KEY_DIGEST: u64 = 0x228b_123e_ddaa_3a87;
+
+    /// Golden digest of how [`QueryKey`]'s `Hash` places the keys of
+    /// [`golden_corpus`]: each key's `DefaultHasher` output (which picks
+    /// its scheduler shard) and `FxHasher` output (which picks its cache
+    /// bucket). A change here moves keys between shards and buckets.
+    #[test]
+    fn key_hashes_match_their_golden_digest() {
+        use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+        let sip = BuildHasherDefault::<DefaultHasher>::default();
+        let fx = FxHashMap::<QueryKey, ()>::default();
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        golden_corpus(|sigma, goal| {
+            let key = query_key(sigma, goal);
+            for h in [sip.hash_one(&key), fx.hasher().hash_one(&key)] {
+                fnv_fold(&mut digest, [h as u32, (h >> 32) as u32].into_iter());
+            }
+        });
+        assert_eq!(digest, GOLDEN_HASH_DIGEST, "key hashes moved: {digest:#018x}");
+    }
+
+    /// [`key_hashes_match_their_golden_digest`]'s digest.
+    const GOLDEN_HASH_DIGEST: u64 = 0x0e26_64b8_3cbd_a2cf;
 
     /// The standard shared-Σ fixture: mvd + fd over untyped ABC, three
     /// member goals over one hypothesis tableau (a td and two egds).

@@ -134,7 +134,10 @@ pub struct ServiceConfig {
     /// own eviction victim, so when `cache_capacity < shards` the cache
     /// may transiently hold up to one entry per shard.
     pub cache_capacity: usize,
-    /// Re-verify every cache hit through the isomorphism machinery.
+    /// Re-verify every cache hit through the isomorphism machinery. The
+    /// witnesses cost memory and time only with this on: one relation
+    /// (the goal's permuted hypothesis) built per keyed miss and per
+    /// replayed log record, and held for its cache entry's life.
     pub verify_cache_hits: bool,
     /// Persist definite answers to an append-only log and replay them on
     /// startup (see [`crate::persist`]). `None` keeps the cache purely
@@ -401,7 +404,8 @@ struct JobSlot {
     /// recorded, and whose in-flight marker it holds while running.
     key: Option<QueryKey>,
     /// Goal-hypothesis snapshot for cache insertion, columns already in
-    /// the query's canonical order (keyed leaders only).
+    /// the query's canonical order (keyed leaders under
+    /// [`ServiceConfig::verify_cache_hits`] only).
     goal_hyp: Option<Relation>,
     fuel_spent: u64,
     fuel_cap: Option<u64>,
@@ -941,17 +945,27 @@ impl ImplicationClient {
     /// Seeds the shard caches with records recovered from the answer log,
     /// marking each entry warm. Records route through the same
     /// key-hash-to-shard function live submissions use, so a later probe
-    /// finds them where it looks; the witness relation is rebuilt from
-    /// the canonical encoding (see [`QueryKey::witness_relation`]) so
-    /// replayed entries pass verified-hit checks. A record whose witness
-    /// can't be rebuilt is dropped (a checksum collision, in practice
-    /// unreachable); duplicates (the log is append-only across runs)
-    /// insert once. The cache bound is enforced as replay goes, exactly
-    /// like live inserts.
+    /// finds them where it looks. Under
+    /// [`ServiceConfig::verify_cache_hits`] the witness relation is
+    /// rebuilt from the canonical encoding (see
+    /// [`QueryKey::witness_relation`]) so replayed entries pass
+    /// verified-hit checks; otherwise nothing would read it, and only the
+    /// encoding is checked ([`QueryKey::witness_ids`]). Either way a
+    /// record whose witness can't be rebuilt is dropped (a checksum
+    /// collision, in practice unreachable), so both modes keep the same
+    /// records; duplicates (the log is append-only across runs) insert
+    /// once. The cache bound is enforced as replay goes, exactly like
+    /// live inserts.
     fn replay_records(&self, records: Vec<ReplayedRecord>) {
         let nshards = self.core.shards.len();
+        let verify = self.core.cfg.verify_cache_hits;
         for rec in records {
-            let Some(witness) = rec.key.witness_relation() else {
+            let witness = if verify {
+                rec.key.witness_relation().map(Some)
+            } else {
+                rec.key.witness_ids().map(|_| None)
+            };
+            let Some(witness) = witness else {
                 continue;
             };
             let idx = shard_of(&rec.key, nshards);
@@ -1177,10 +1191,9 @@ impl ImplicationClient {
         // The verification witness: the goal hypothesis with columns in
         // the canonical order the key was computed under (equal keys
         // certify isomorphism *after* each side's own permutation). Built
-        // eagerly only when hits are verified — the plain hit path never
-        // clones a relation; a keyed job that actually runs builds it at
-        // slot installation below.
-        let mut witness = (key.is_some() && core.cfg.verify_cache_hits)
+        // only when hits are verified; a keyed job that runs hands it to
+        // its cache entry.
+        let witness = (key.is_some() && core.cfg.verify_cache_hits)
             .then(|| permute_relation(&goal_hypothesis(&goal), &parts.perm));
         let mut shard = self.lock_shard(shard_idx);
         if let Some(k) = &key {
@@ -1254,11 +1267,7 @@ impl ImplicationClient {
         let generation = {
             let s = &mut shard.slots[slot as usize];
             s.key = key.clone();
-            s.goal_hyp = key.is_some().then(|| {
-                witness
-                    .take()
-                    .unwrap_or_else(|| permute_relation(&goal_hypothesis(&goal), &parts.perm))
-            });
+            s.goal_hyp = witness.filter(|_| key.is_some());
             s.fuel_cap = fuel_cap;
             s.priority = priority;
             s.started = t0;
@@ -2241,12 +2250,18 @@ impl Core {
             // Unknown is a budget artifact that could differ between
             // canonically equal submissions.
             if outcome.implication != Answer::Unknown {
-                let g = goal_hyp.expect("keyed leader stores its witness");
+                debug_assert_eq!(
+                    goal_hyp.is_some(),
+                    self.cfg.verify_cache_hits,
+                    "a keyed leader stores its witness exactly when hits are verified"
+                );
                 let answer = CachedAnswer {
                     implication: outcome.implication,
                     finite_implication: outcome.finite_implication,
                 };
-                if let Some(interned) = shard.cache.insert(k, answer, g, outcome.fuel_spent) {
+                if let Some(interned) =
+                    shard.cache.insert(k, answer, goal_hyp, outcome.fuel_spent)
+                {
                     self.cached_total.fetch_add(1, Ordering::Relaxed);
                     self.enforce_cache_bound(shard, Some(&interned));
                     // Persist the definite answer as it enters the cache

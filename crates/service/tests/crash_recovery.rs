@@ -24,10 +24,11 @@ use std::time::Duration;
 use typedtd_chase::{decide, Answer, DecideConfig};
 use typedtd_service::proto::err_code;
 use typedtd_service::{
-    parse_query_line, parse_universe_spec, query_key, replay_bytes, CachedAnswer, ClientConfig,
-    ImplicationClient, PersistConfig, PersistLog, ProtoClient, ProtoServer, QuerySpec,
-    ServiceConfig, SockdConfig,
+    parse_query_line, parse_universe_spec, query_key, replay_bytes, replay_log, CachedAnswer,
+    ClientConfig, ImplicationClient, PersistConfig, PersistLog, ProtoClient, ProtoServer, QueryKey,
+    QuerySpec, ServiceConfig, SockdConfig,
 };
+use typedtd_dependencies::TdOrEgd;
 use typedtd_relational::ValuePool;
 
 /// Decidable textual corpus over `A B C D` — fds, mvds, pjds; none of
@@ -636,5 +637,114 @@ fn corrupted_log_still_feeds_a_verified_cache() {
     let stats = client.stats();
     assert_eq!(stats.verify_rejects, 0, "replayed witnesses must verify: {stats:?}");
     assert_eq!(stats.check(), Ok(()), "ledger identities");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Replay keeps and drops the same records whether or not hits are
+/// verified, though only verification rebuilds their witnesses. The log
+/// holds every corpus answer twice, past the cache's capacity, and one
+/// checksum-valid record whose goal encoding is malformed. Both modes
+/// must keep the same number of entries under the same keys and serve the
+/// same warm hits, and every verified hit must pass.
+#[test]
+fn replay_keeps_the_same_records_with_and_without_verification() {
+    let mut parts = Vec::new();
+    for (uspec, query) in &corpus() {
+        let universe = parse_universe_spec(uspec).expect("universe");
+        let mut pool = ValuePool::new(universe.clone());
+        let (sigma, goal) = parse_query_line(&universe, &mut pool, query).expect("query");
+        let sigma_normal: Vec<_> = sigma
+            .iter()
+            .flat_map(|d| d.normalize(&universe, &mut pool))
+            .collect();
+        for part in goal.normalize(&universe, &mut pool) {
+            parts.push((sigma_normal.clone(), part, pool.clone()));
+        }
+    }
+    type Part = (Vec<TdOrEgd>, TdOrEgd, ValuePool);
+    let submit = |client: &ImplicationClient, (sigma, goal, pool): &Part| {
+        client
+            .submit(QuerySpec::new(sigma.clone(), goal.clone(), pool.clone()))
+            .wait()
+    };
+    let path = temp_path("replay-modes.log");
+    {
+        let client = ImplicationClient::new(ServiceConfig {
+            persist: Some(PersistConfig::at(&path)),
+            ..ServiceConfig::default()
+        });
+        for part in &parts {
+            submit(&client, part);
+        }
+    }
+    let records = replay_log(&path).expect("log readable").records;
+    let (log, _) = PersistLog::open(&PersistConfig::at(&path)).expect("reopen log");
+    for rec in &records {
+        assert!(log.append(&rec.key, rec.answer, rec.cost));
+    }
+    // Width 3, untyped, empty Σ, and a one-word goal: the key decodes,
+    // but no witness can be rebuilt from it.
+    let mut bytes = vec![3, 0, 0];
+    for w in [0u32, 1, 7] {
+        bytes.extend_from_slice(&w.to_le_bytes());
+    }
+    let (malformed, _) = QueryKey::decode(&bytes).expect("structurally valid key");
+    assert!(malformed.witness_ids().is_none() && malformed.witness_relation().is_none());
+    let yes = CachedAnswer {
+        implication: Answer::Yes,
+        finite_implication: Answer::Yes,
+    };
+    assert!(log.append(&malformed, yes, 1));
+    drop(log);
+    let capacity = 4;
+    assert!(records.len() > capacity, "the log must overflow the cache");
+    // Each client replays its own copy: misses append to the log.
+    let copies = std::cell::Cell::new(0);
+    let replayed = |verify: bool| {
+        copies.set(copies.get() + 1);
+        let copy = temp_path(&format!("replay-modes-{}.log", copies.get()));
+        std::fs::copy(&path, &copy).expect("copy log");
+        let client = ImplicationClient::new(ServiceConfig {
+            persist: Some(PersistConfig::at(&copy)),
+            cache_capacity: capacity,
+            verify_cache_hits: verify,
+            shards: 2,
+            ..ServiceConfig::default()
+        });
+        (client, copy)
+    };
+    let run = |verify: bool| {
+        let (client, copy) = replayed(verify);
+        let len = client.cache_len();
+        drop(client);
+        let _ = std::fs::remove_file(copy);
+        // Which parts a freshly replayed cache serves, each probed alone.
+        let kept: Vec<bool> = parts
+            .iter()
+            .map(|part| {
+                let (client, copy) = replayed(verify);
+                let hit = submit(&client, part).from_cache;
+                let _ = std::fs::remove_file(copy);
+                hit
+            })
+            .collect();
+        let (client, copy) = replayed(verify);
+        for part in &parts {
+            submit(&client, part);
+        }
+        let _ = std::fs::remove_file(copy);
+        (len, kept, client.stats())
+    };
+    let (len, kept, plain) = run(false);
+    let (verified_len, verified_kept, verified) = run(true);
+    assert_eq!(len, capacity, "replay fills the cache to its bound");
+    assert_eq!(verified_len, len, "both modes keep as many entries");
+    assert_eq!(verified_kept, kept, "both modes keep the same keys");
+    assert!(kept.contains(&true) && kept.contains(&false), "replay keeps some, evicts some");
+    assert!(plain.warm_hits > 0, "resubmission must hit replayed entries");
+    assert_eq!(verified.warm_hits, plain.warm_hits, "both modes serve the same warm hits");
+    assert_eq!(verified.verify_rejects, 0, "replayed witnesses must verify: {verified:?}");
+    assert_eq!(plain.check(), Ok(()), "ledger identities");
+    assert_eq!(verified.check(), Ok(()), "ledger identities");
     let _ = std::fs::remove_file(&path);
 }

@@ -29,6 +29,7 @@ use typedtd_bench::{
     frontier_shape_queries, thread_allocations, CountingAlloc, FRONTIER_SHAPE_CAP,
 };
 use typedtd_chase::Answer;
+use typedtd_relational::{AttrId, Universe, ValuePool};
 use typedtd_service::{ImplicationClient, ServiceConfig};
 
 #[global_allocator]
@@ -89,7 +90,23 @@ fn frontier_queries_stay_within_their_allocation_budget() {
     );
 }
 
-/// About 25% above the 344 allocations per query a release build makes.
-const COLD_BUDGET: f64 = 430.0;
-/// About 25% above the 422 allocations per query a release build makes.
-const FRONTIER_BUDGET: f64 = 530.0;
+#[test]
+fn reinterning_a_name_allocates_nothing() {
+    let typed = Universe::typed(vec!["A", "B"]);
+    let untyped = Universe::untyped(vec!["A", "B"]);
+    let (mut tp, mut up) = (ValuePool::new(typed), ValuePool::new(untyped));
+    let (a1, b1, x) = (tp.typed(AttrId(0), "a1"), tp.typed(AttrId(1), "a1"), up.untyped("x"));
+    let before = thread_allocations();
+    for _ in 0..100 {
+        assert_eq!(tp.typed(AttrId(0), "a1"), a1);
+        assert_eq!(tp.for_attr(AttrId(1), "a1"), b1);
+        assert_eq!(up.untyped("x"), x);
+    }
+    let made = thread_allocations() - before;
+    assert_eq!(made, 0, "re-interning existing names made {made} allocations");
+}
+
+/// About 25% above the 286 allocations per query a release build makes.
+const COLD_BUDGET: f64 = 360.0;
+/// About 25% above the 387 allocations per query a release build makes.
+const FRONTIER_BUDGET: f64 = 485.0;
